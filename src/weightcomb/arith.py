@@ -4,8 +4,9 @@ Conventions
 -----------
 * ``eps`` is always the integer ``+1`` or ``-1``.
 * For the prime ``ell = 2`` all multiplicative orders are taken modulo 4
-  (the group ``(Z/4)^x``), and most callers additionally require the
-  regime condition ``4 | (q - eps)``; see :class:`EllParams`.
+  (the group ``(Z/4)^x``).
+* A triple ``(q, eps, ell)`` is validated in one place, the cached
+  :meth:`EllParams.compute`, which also owns ``d_Gamma``; see its docstring.
 """
 
 from __future__ import annotations
@@ -157,10 +158,15 @@ def E_set(e: int, ell: int, bound: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def d_of(q: int, eps: int, ell: int) -> int:
-    """Order of ``eps * q`` modulo ``ell`` (modulo 4 when ``ell == 2``)."""
+    """Order of ``eps * q`` modulo ``ell`` (modulo 4 when ``ell == 2``), for
+    any ``q`` coprime to ``ell``: neither the prime-power nor the regime rule
+    of :class:`EllParams` applies."""
     _check_eps(eps)
     _check_ell(ell)
+    if q % ell == 0:
+        raise ValueError(f"ell={ell} must not divide q={q}")
     modulus = 4 if ell == 2 else ell
     return multiplicative_order(eps * q, modulus)
 
@@ -241,25 +247,29 @@ class PrimePower:
 class EllParams:
     """Validated parameter bundle ``(q, eps, ell)`` with derived orders.
 
-    ``e`` is the order of ``q``, ``d`` the order of ``eps*q`` (both taken
-    modulo ``ell``, or modulo 4 when ``ell == 2``), and ``a`` the
-    ``ell``-adic valuation of ``(eps*q)**d - 1``.
+    :meth:`compute` applies the base rules (``eps = +-1``, ``q`` a prime
+    power, ``ell`` a prime not dividing ``q``), then the ``ell = 2`` regime
+    rule ``4 | (q - eps)``, which raises :class:`UnsupportedRegimeError`.
+    ``p`` is the characteristic of ``F_q``, ``e`` the order of ``q``, ``d``
+    the order of ``eps*q`` (both taken modulo ``ell``, or modulo 4 when
+    ``ell == 2``), and ``a`` the ``ell``-adic valuation of
+    ``(eps*q)**d - 1``.
     """
 
     q: int
     eps: int
     ell: int
+    p: int
     e: int
     d: int
     a: int
 
     @classmethod
+    @lru_cache(maxsize=None)
     def compute(cls, q: int, eps: int, ell: int) -> "EllParams":
         _check_eps(eps)
-        _check_ell(ell)
-        PrimePower.from_q(q)
-        if q % ell == 0:
-            raise ValueError(f"ell={ell} must not divide q={q}")
+        p = PrimePower.from_q(q).p
+        d = d_of(q, eps, ell)  # checks that ell is a prime not dividing q
         if ell == 2 and (q - eps) % 4 != 0:
             raise UnsupportedRegimeError(
                 f"ell=2 requires 4 | (q - eps); got q={q}, eps={eps:+d}"
@@ -268,7 +278,13 @@ class EllParams:
             q=q,
             eps=eps,
             ell=ell,
+            p=p,
             e=e_ell(q, ell),
-            d=d_of(q, eps, ell),
+            d=d,
             a=a_of(q, eps, ell),
         )
+
+    def d_gamma(self, deg: int) -> int:
+        """``d_Gamma`` of a degree-``deg`` elementary divisor: the order of
+        ``(eps*q)**deg`` modulo ``ell`` (modulo 4 when ``ell == 2``)."""
+        return d_of(self.q**deg, self.eps**deg, self.ell)

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 from . import __version__
+from .arith import EllParams
 from .errors import BoundExceededError, UnsupportedRegimeError
 from .glblocks import (
     GRID_ELLS,
@@ -317,10 +318,10 @@ def _grid_points(n_max: int) -> list[tuple[int, int, int, int]]:
         for q in GRID_PRIME_POWERS:
             for eps in (1, -1):
                 for ell in GRID_ELLS:
-                    if q % ell == 0:
-                        continue
-                    if ell == 2 and (q - eps) % 4 != 0:
-                        continue
+                    try:
+                        EllParams.compute(q, eps, ell)
+                    except ValueError:
+                        continue  # the parameter rules reject the point
                     points.append((n, q, eps, ell))
     return points
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import gcd
 
-from .arith import PrimePower, factorize, multiplicative_order, valuation
+from .arith import PrimePower, d_of, factorize, valuation
 from .errors import BoundExceededError
 
 __all__ = [
@@ -432,10 +432,7 @@ def is_ellprime(label: PolyLabel, ctx: FieldCtx, eps: int, ell: int) -> bool:
 
 def d_Gamma(label: PolyLabel, eps: int, ell: int, q: int) -> int:
     """Multiplicative order of (eps*q)^deg modulo ell (modulo 4 if ell = 2)."""
-    if q % ell == 0:
-        raise ValueError(f"ell={ell} must not divide q={q}")
-    modulus = 4 if ell == 2 else ell
-    return multiplicative_order((eps * q) ** label.deg % modulus, modulus)
+    return d_of(q**label.deg, eps**label.deg, ell)
 
 
 def annotate(label: PolyLabel, ctx: FieldCtx, eps: int, ell: int) -> PolyLabel:

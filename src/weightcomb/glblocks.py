@@ -25,11 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
-    PrimePower,
-    d_of,
+    EllParams,
+    _check_eps,
     divisors,
     ellprime_part,
-    is_prime,
     mobius,
     multiplicative_order,
     valuation,
@@ -50,26 +49,7 @@ GRID_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 GRID_ELLS = (2, 3, 5, 7)
 
 
-def _check_eps(eps: int) -> None:
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps!r}")
-
-
-def _check_modular(q: int, eps: int, ell: int) -> None:
-    """Validation shared by every modular operation (no size bound)."""
-    _check_eps(eps)
-    PrimePower.from_q(q)
-    if not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
-    if q % ell == 0:
-        raise ValueError(f"ell={ell} must not divide q={q}")
-    if ell == 2 and (q - eps) % 4 != 0:
-        raise UnsupportedRegimeError(
-            f"ell=2 requires 4 | (q - eps); got q={q}, eps={eps:+d}"
-        )
-
-
-def _check_grid(n: int, q: int, eps: int, ell: int) -> None:
+def _check_grid(n: int, q: int, eps: int, ell: int) -> EllParams:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > GRID_MAX_N:
@@ -78,7 +58,7 @@ def _check_grid(n: int, q: int, eps: int, ell: int) -> None:
         raise BoundExceededError(f"q={q} outside the supported set {GRID_PRIME_POWERS}")
     if ell not in GRID_ELLS:
         raise BoundExceededError(f"ell={ell} outside the supported set {GRID_ELLS}")
-    _check_modular(q, eps, ell)
+    return EllParams.compute(q, eps, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +90,23 @@ class FracLabel:
         return Fraction(self.num, self.den)
 
 
-def orbit_of_fraction(fr: Fraction, q: int, eps: int) -> tuple[Fraction, ...]:
-    """The multiply-by-(eps*q) orbit of ``fr`` in Q/Z, starting at ``fr``."""
-    step = eps * q
-    out = [fr]
-    cur = (fr * step) % 1
-    while cur != fr:
-        out.append(cur)
-        cur = (cur * step) % 1
-    return tuple(out)
+def _orbit(a: int, den: int, step: int) -> list[int]:
+    """The multiply-by-step orbit of the numerator ``a`` modulo ``den``,
+    starting at ``a`` (step a unit modulo den)."""
+    out = [a]
+    b = a * step % den
+    while b != a:
+        out.append(b)
+        b = b * step % den
+    return out
+
+
+def _label(num: int, den: int, step: int) -> FracLabel:
+    """Canonical label of the multiply-by-step orbit through num/den."""
+    g = math.gcd(num, den)
+    den //= g
+    orbit = _orbit(num // g % den, den, step)
+    return FracLabel(len(orbit), den, min(orbit))
 
 
 def label_of_fraction(num: int, den: int, q: int, eps: int) -> FracLabel:
@@ -128,9 +116,7 @@ def label_of_fraction(num: int, den: int, q: int, eps: int) -> FracLabel:
         raise ValueError(f"denominator must be >= 1, got {den}")
     if math.gcd(den, q) != 1:
         raise ValueError(f"denominator {den} must be coprime to q={q}")
-    orbit = orbit_of_fraction(Fraction(num, den) % 1, q, eps)
-    rep = min(orbit)
-    return FracLabel(len(orbit), rep.denominator, rep.numerator)
+    return _label(num, den, eps * q)
 
 
 def is_ellprime_label(lab: FracLabel, ell: int) -> bool:
@@ -140,9 +126,20 @@ def is_ellprime_label(lab: FracLabel, ell: int) -> bool:
 
 def d_gamma(deg: int, q: int, eps: int, ell: int) -> int:
     """Order of (eps*q)**deg modulo ell (modulo 4 when ell == 2)."""
-    _check_modular(q, eps, ell)
-    modulus = 4 if ell == 2 else ell
-    return multiplicative_order(pow(eps * q, deg, modulus), modulus)
+    return EllParams.compute(q, eps, ell).d_gamma(deg)
+
+
+def _unit_orbit_labels(r: int, step: int):
+    """Yield the label of every multiply-by-step orbit of units modulo r,
+    by ascending smallest numerator."""
+    seen = bytearray(r)
+    for a in range(r):
+        if seen[a] or math.gcd(a, r) != 1:
+            continue
+        orbit = _orbit(a, r, step)
+        for b in orbit:
+            seen[b] = 1
+        yield FracLabel(len(orbit), r, a)
 
 
 @lru_cache(maxsize=None)
@@ -153,24 +150,13 @@ def _all_labels(q: int, eps: int, max_deg: int) -> tuple[FracLabel, ...]:
         dens.update(divisors(abs((eps * q) ** m - 1)))
     found: list[FracLabel] = []
     for r in sorted(dens):
-        step = (eps * q) % r if r > 1 else 0
-        seen = bytearray(max(r, 1))
-        for a in range(max(r, 1)):
-            if seen[a] or (r > 1 and math.gcd(a, r) != 1):
-                continue
-            orbit = []
-            b = a
-            while not seen[b]:
-                seen[b] = 1
-                orbit.append(b)
-                b = b * step % r if r > 1 else 0
-            found.append(FracLabel(len(orbit), r, min(orbit)))
+        found.extend(_unit_orbit_labels(r, eps * q))
     return tuple(sorted(lab for lab in found if lab.deg <= max_deg))
 
 
 def ellprime_labels(q: int, eps: int, ell: int, max_deg: int) -> tuple[FracLabel, ...]:
     """Labels of degree <= max_deg whose roots have order coprime to ell."""
-    _check_modular(q, eps, ell)
+    EllParams.compute(q, eps, ell)
     return tuple(
         lab for lab in _all_labels(q, eps, max_deg) if is_ellprime_label(lab, ell)
     )
@@ -179,7 +165,7 @@ def ellprime_labels(q: int, eps: int, ell: int, max_deg: int) -> tuple[FracLabel
 def ellprime_label_count(q: int, eps: int, ell: int, deg: int) -> int:
     """Number of degree-``deg`` labels with roots of order coprime to ell,
     by Moebius inversion over the fixed-point counts of (eps*q)-multiplication."""
-    _check_modular(q, eps, ell)
+    EllParams.compute(q, eps, ell)
     total = sum(
         mobius(deg // m) * ellprime_part((eps * q) ** m - 1, ell)
         for m in divisors(deg)
@@ -201,16 +187,8 @@ def _first_labels(q: int, eps: int, ell: int, deg: int, count: int) -> tuple[Fra
         order = 1 if r == 1 else multiplicative_order((eps * q) % r, r)
         if order != deg:
             continue
-        step = (eps * q) % r if r > 1 else 0
-        seen = bytearray(max(r, 1))
-        for a in range(max(r, 1)):
-            if seen[a] or (r > 1 and math.gcd(a, r) != 1):
-                continue
-            b = a
-            while not seen[b]:
-                seen[b] = 1
-                b = b * step % r if r > 1 else 0
-            out.append(FracLabel(deg, r, a))
+        for lab in _unit_orbit_labels(r, eps * q):
+            out.append(lab)
             if len(out) == count:
                 return tuple(out)
     return tuple(out)
@@ -242,6 +220,10 @@ class SemisimpleLabel:
         total = sum(lab.deg * m for lab, m in self.assignments)
         if total != self.n:
             raise ValueError(f"degrees sum to {total}, expected n={self.n}")
+
+    @property
+    def params(self) -> EllParams:
+        return EllParams.compute(self.q, self.eps, self.ell)
 
     def to_json_dict(self) -> dict:
         return {
@@ -332,8 +314,9 @@ class BlockLabel:
             self.s.assignments
         ):
             raise ValueError("kappa and weights must align with the assignments of s")
+        params = self.s.params
         for (lab, m), core, w in zip(self.s.assignments, self.kappa, self.weights):
-            d = d_gamma(lab.deg, self.s.q, self.s.eps, self.s.ell)
+            d = params.d_gamma(lab.deg)
             if not _is_core(core, d):
                 raise ValueError(f"kappa at {lab} is not a {d}-core")
             if w < 0 or m - sum(core) != w * d:
@@ -363,17 +346,15 @@ def _core_choices(m: int, d: int) -> tuple[Partition, ...]:
 
 def blocks(n: int, q: int, eps: int, ell: int) -> list[BlockLabel]:
     """All block labels (s, kappa) at the grid point."""
-    _check_grid(n, q, eps, ell)
+    params = _check_grid(n, q, eps, ell)
     out: list[BlockLabel] = []
     for s in semisimple_labels(n, q, eps, ell):
-        per_gamma = [
-            _core_choices(m, d_gamma(lab.deg, q, eps, ell))
-            for lab, m in s.assignments
-        ]
+        ds = [params.d_gamma(lab.deg) for lab, _ in s.assignments]
+        per_gamma = [_core_choices(m, d) for (_, m), d in zip(s.assignments, ds)]
         for combo in itertools.product(*per_gamma):
             weights = tuple(
-                (m - sum(core)) // d_gamma(lab.deg, q, eps, ell)
-                for (lab, m), core in zip(s.assignments, combo)
+                (m - sum(core)) // d
+                for (_, m), core, d in zip(s.assignments, combo, ds)
             )
             out.append(BlockLabel(s, combo, weights))
     return out
@@ -382,11 +363,9 @@ def blocks(n: int, q: int, eps: int, ell: int) -> list[BlockLabel]:
 def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:
     """The block containing the unipotent characters: s trivial with
     multiplicity n and kappa the d-core of the single-row partition."""
-    _check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_modular(q, eps, ell)
-    d = d_of(q, eps, ell)
+    d = EllParams.compute(q, eps, ell).d
     trivial = FracLabel(1, 1, 0)
     s = SemisimpleLabel(q, eps, ell, n, ((trivial, n),))
     core = _core_of((n,), d)
@@ -396,9 +375,10 @@ def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:
 def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
     """The series characters in the block: all mu with the block's cores."""
     s = block.s
+    params = s.params
     per_gamma = []
     for (lab, m), core in zip(s.assignments, block.kappa):
-        d = d_gamma(lab.deg, s.q, s.eps, s.ell)
+        d = params.d_gamma(lab.deg)
         per_gamma.append(
             tuple(mu for mu in partitions_of(m) if _core_of(mu, d) == core)
         )
@@ -539,8 +519,8 @@ def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
         return ()
     lab, m = s.assignments[0]
     ell = s.ell
-    d = d_of(s.q, s.eps, ell)
-    d_gam = d_gamma(lab.deg, s.q, s.eps, ell)
+    d = s.params.d
+    d_gam = s.params.d_gamma(lab.deg)
     scaled = d_gam * lab.deg
     if scaled % d:
         raise AssertionError(f"d={d} does not divide d_Gamma*deg={scaled}")
@@ -580,14 +560,15 @@ def shape_count_identity(delta: int, ell: int) -> bool:
 # Actions.
 
 
-def _act_label(action, lab: FracLabel, q: int, eps: int) -> FracLabel:
+def _act_label(action, lab: FracLabel, params: EllParams) -> FracLabel:
+    q, eps = params.q, params.eps
     if action == "frob":
-        shifted = (lab.fraction * PrimePower.from_q(q).p) % 1
+        num, den = lab.num * params.p, lab.den
     elif isinstance(action, int):
-        shifted = (lab.fraction + Fraction(action, q - eps)) % 1
+        num, den = lab.num * (q - eps) + action * lab.den, lab.den * (q - eps)
     else:
         raise ValueError(f"action must be an integer or 'frob', got {action!r}")
-    moved = label_of_fraction(shifted.numerator, shifted.denominator, q, eps)
+    moved = _label(num, den, eps * q)
     if moved.deg != lab.deg:
         raise AssertionError(f"action changed the degree of {lab}")
     return moved
@@ -597,7 +578,7 @@ def act_on_semisimple(action, s: SemisimpleLabel) -> SemisimpleLabel:
     """Relabel every elementary divisor by the central shift (an integer
     exponent modulo q - eps) or by 'frob' (multiplication by p)."""
     pairs = sorted(
-        (_act_label(action, lab, s.q, s.eps), m) for lab, m in s.assignments
+        (_act_label(action, lab, s.params), m) for lab, m in s.assignments
     )
     return SemisimpleLabel(s.q, s.eps, s.ell, s.n, tuple(pairs))
 
@@ -605,8 +586,9 @@ def act_on_semisimple(action, s: SemisimpleLabel) -> SemisimpleLabel:
 def act_on_series(action, label: SeriesCharLabel) -> SeriesCharLabel:
     """Relabel the series character, carrying each partition with its divisor."""
     s = label.s
+    params = s.params
     moved = sorted(
-        ((_act_label(action, lab, s.q, s.eps), m), part)
+        ((_act_label(action, lab, params), m), part)
         for (lab, m), part in zip(s.assignments, label.mu)
     )
     new_s = SemisimpleLabel(s.q, s.eps, s.ell, s.n, tuple(p for p, _ in moved))
@@ -616,8 +598,9 @@ def act_on_series(action, label: SeriesCharLabel) -> SeriesCharLabel:
 def act_on_block(action, block: BlockLabel) -> BlockLabel:
     """Relabel the block, carrying each core and weight with its divisor."""
     s = block.s
+    params = s.params
     moved = sorted(
-        ((_act_label(action, lab, s.q, s.eps), m), core, w)
+        ((_act_label(action, lab, params), m), core, w)
         for (lab, m), core, w in zip(s.assignments, block.kappa, block.weights)
     )
     new_s = SemisimpleLabel(s.q, s.eps, s.ell, s.n, tuple(p for p, _, _ in moved))
@@ -750,7 +733,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
     of (degree, multiplicity) pairs): every quantity compared depends only
     on the shape, so one representative per shape verifies its whole class.
     """
-    _check_grid(n, q, eps, ell)
+    params = _check_grid(n, q, eps, ell)
     counts = {d: ellprime_label_count(q, eps, ell, d) for d in range(1, n + 1)}
     degs = tuple(d for d in range(1, n + 1) if counts[d] > 0)
     s_count = 0
@@ -765,7 +748,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
         s_count += class_size
         rep_s = _representative_semisimple(shape, q, eps, ell, n)
         per_gamma = [
-            _core_choices(m, d_gamma(lab.deg, q, eps, ell))
+            _core_choices(m, params.d_gamma(lab.deg))
             for lab, m in rep_s.assignments
         ]
         blocks_per_s = math.prod(len(choices) for choices in per_gamma)
@@ -828,7 +811,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
                     combo = candidate
                     break
             weights = tuple(
-                (m - sum(core)) // d_gamma(lab.deg, q, eps, ell)
+                (m - sum(core)) // params.d_gamma(lab.deg)
                 for (lab, m), core in zip(rep_s.assignments, combo)
             )
             record(BlockLabel(rep_s, combo, weights),
@@ -871,17 +854,14 @@ def unipotent_hook_eGC(n: int, q: int, eps: int, ell: int) -> HookEGC:
     hook partitions when ell divides q - eps (4 divides q - eps for ell = 2)
     and n is a power of ell; every partition when ell = 2 and 4 divides
     q + eps; nothing otherwise."""
-    _check_eps(eps)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    PrimePower.from_q(q)
-    if not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
-    if q % ell == 0:
-        raise ValueError(f"ell={ell} must not divide q={q}")
-    split = (q - eps) % (4 if ell == 2 else ell) == 0
-    if split and _is_ell_power(n, ell):
-        return HookEGC("hooks", hooks(n))
-    if ell == 2 and (q + eps) % 4 == 0:
+    try:
+        params = EllParams.compute(q, eps, ell)
+    except UnsupportedRegimeError:
+        # ell = 2 with 4 not dividing q - eps: q is odd, so 4 | q + eps.
         return HookEGC("all", partitions_of(n))
+    # d = 1 exactly when ell (4 for ell = 2) divides eps*q - 1, i.e. q - eps.
+    if params.d == 1 and _is_ell_power(n, ell):
+        return HookEGC("hooks", hooks(n))
     return HookEGC("none", ())

@@ -119,7 +119,8 @@ def degree(mu: Partition) -> int:
         for h in row:
             prod *= h
     deg, rem = divmod(factorial(n), prod)
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"hook product {prod} does not divide {n}!")
     return deg
 
 
@@ -271,7 +272,8 @@ def defect(mu: Partition, ell: int) -> int:
     tower = core_tower(mu, ell)
     num = sum(mu) - sum(tower.row_sizes())
     quo, rem = divmod(num, ell - 1)
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"{num} is not divisible by ell - 1 = {ell - 1}")
     return quo
 
 

@@ -85,7 +85,8 @@ class YoungPair:
         """ell-adic valuation of |Y|: (n - sum of coefficients) / (ell - 1)."""
         num = self.n - sum(self.expansion.coeffs)
         quo, rem = divmod(num, self.ell - 1)
-        assert rem == 0
+        if rem:
+            raise AssertionError(f"{num} is not divisible by ell - 1 = {self.ell - 1}")
         return quo
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line interface: JSON reports and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,15 +315,18 @@ def test_campaign_bound_exceeded_item(capsys, tmp_path):
     assert code == 3 and "bound" in err.lower()
 
 
+SMALL_CAMPAIGN = {
+    "items": [
+        {"op": "gl_verify", "n": 2, "q": 4, "eps": "+", "ell": 3},
+        {"op": "young_verify", "kind": "sym", "n": 6, "ell": 2},
+        {"op": "shape_identity", "delta_max": 4, "ells": [3, 5]},
+    ]
+}
+
+
 def test_campaign_outputs_and_parallel_stability(capsys, tmp_path):
     config = tmp_path / "items.json"
-    config.write_text(json.dumps({
-        "items": [
-            {"op": "gl_verify", "n": 2, "q": 4, "eps": "+", "ell": 3},
-            {"op": "young_verify", "kind": "sym", "n": 6, "ell": 2},
-            {"op": "shape_identity", "delta_max": 4, "ells": [3, 5]},
-        ]
-    }))
+    config.write_text(json.dumps(SMALL_CAMPAIGN))
     out_file = tmp_path / "report.json"
     csv_file = tmp_path / "summary.csv"
     code, report = run_json(
@@ -335,6 +342,27 @@ def test_campaign_outputs_and_parallel_stability(capsys, tmp_path):
     code, parallel = run_json(capsys, "campaign", str(config), "--jobs", "3")
     assert code == 0
     assert parallel["results"] == report["results"]
+
+
+def test_campaign_same_report_under_optimize(tmp_path):
+    """No behaviour depends on assert statements: python -O gives the same
+    exit code and byte-identical stdout."""
+    config = tmp_path / "items.json"
+    config.write_text(json.dumps(SMALL_CAMPAIGN))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "weightcomb", "campaign", str(config)],
+            capture_output=True, env=env, timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["pass"] is True
 
 
 # ---------------------------------------------------------------------------

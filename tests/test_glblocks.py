@@ -32,7 +32,6 @@ from weightcomb.glblocks import (
     is_defect_zero,
     is_ellprime_label,
     label_of_fraction,
-    orbit_of_fraction,
     principal_block,
     semisimple_labels,
     series_labels,
@@ -40,7 +39,7 @@ from weightcomb.glblocks import (
     unipotent_hook_eGC,
     verify_counting,
 )
-from weightcomb.glblocks import _all_labels, _first_labels
+from weightcomb.glblocks import _all_labels, _first_labels, _orbit
 from weightcomb.partitions import d_core, hooks, partition_count, partitions_of
 
 TRIVIAL = FracLabel(1, 1, 0)
@@ -55,10 +54,7 @@ def test_label_canonicalization():
     lab = label_of_fraction(4, 5, 4, 1)
     assert lab == FracLabel(2, 5, 1)
     assert str(lab) == "1/5"
-    assert orbit_of_fraction(Fraction(1, 5), 4, 1) == (
-        Fraction(1, 5),
-        Fraction(4, 5),
-    )
+    assert _orbit(1, 5, 4) == [1, 4]
     assert label_of_fraction(0, 1, 4, 1) == TRIVIAL
     assert label_of_fraction(7, 5, 4, 1) == FracLabel(2, 5, 2)  # 7/5 wraps to 2/5
 

@@ -1,5 +1,10 @@
 """Tests for the Young-subgroup triple parametrization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from weightcomb import BoundExceededError
@@ -289,3 +294,25 @@ def test_typed_count_matches_oracle_at_regression_point():
     report = verify_bijection("typed", 4, 2, 3)
     assert report.passed
     assert report.count_irr == report.count_triples == 60
+
+
+def test_nu_check_survives_optimize():
+    """nu() rejects an expansion whose coefficient sum is not congruent to n
+    modulo ell - 1, also under python -O, which strips bare asserts."""
+    code = (
+        "from weightcomb.partitions import EllExpansion\n"
+        "from weightcomb.younggrp import YoungPair\n"
+        "pair = YoungPair(kind='sym', n=5, e=1, ell=3,"
+        " expansion=EllExpansion(3, (2,)), zeta=())\n"
+        "print(pair.nu())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode != 0 and done.stdout == ""
+    assert "AssertionError" in done.stderr
