@@ -138,11 +138,7 @@ def multiplicative_order(a: int, m: int) -> int:
 
 def e_ell(q: int, ell: int) -> int:
     """Order of ``q`` modulo ``ell`` (modulo 4 when ``ell == 2``)."""
-    _check_ell(ell)
-    modulus = 4 if ell == 2 else ell
-    if gcd(q, modulus) != 1:
-        raise ValueError(f"q={q} shares a factor with {modulus}")
-    return multiplicative_order(q, modulus)
+    return d_of(q, 1, ell)
 
 
 def E_set(e: int, ell: int, bound: int) -> list[int]:

@@ -36,6 +36,7 @@ from .arith import (
 from .errors import BoundExceededError, UnsupportedRegimeError
 from .partitions import (
     Partition,
+    cores_of_size,
     d_core,
     hooks,
     is_d_core,
@@ -210,6 +211,7 @@ class SemisimpleLabel:
     assignments: tuple[tuple[FracLabel, int], ...]
 
     def __post_init__(self) -> None:
+        EllParams.compute(self.q, self.eps, self.ell)
         labs = [lab for lab, _ in self.assignments]
         if len(set(labs)) != len(labs):
             raise ValueError("elementary divisors must be pairwise distinct")
@@ -338,10 +340,10 @@ class BlockLabel:
 def _core_choices(m: int, d: int) -> tuple[Partition, ...]:
     """All d-cores arising as the d-core of a partition of m: the d-cores of
     size congruent to m mod d, sizes ascending."""
-    out: list[Partition] = []
-    for size in range(m % d, m + 1, d):
-        out.extend(mu for mu in partitions_of(size) if _is_core(mu, d))
-    return tuple(out)
+    if d == 1:
+        return ((),)
+    sizes = range(m % d, m + 1, d)
+    return tuple(mu for size in sizes for mu in cores_of_size(size, d))
 
 
 def blocks(n: int, q: int, eps: int, ell: int) -> list[BlockLabel]:

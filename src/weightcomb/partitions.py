@@ -13,6 +13,10 @@ Conventions
   ``d``-quotient.  Runner ``j`` indexes quotient component ``j`` when the
   number of beads is a multiple of ``d``, which we guarantee by padding to
   the least multiple of ``d`` that is ``>= len(mu)``.
+* ``mu`` is a ``d``-core iff every bead ``x >= d`` of its beta-set has a
+  bead at ``x - d`` (a missing one marks a removable ``d``-hook), so the
+  core test never rebuilds a partition.  :func:`core_tower` reads the core
+  and the quotient of each slot off one abacus pass.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "d_core",
     "d_quotient",
     "is_d_core",
+    "cores_of_size",
     "from_core_quotient",
     "CoreTower",
     "core_tower",
@@ -97,9 +102,10 @@ def partition_count(n: int) -> int:
 
 def conjugate(mu: Partition) -> Partition:
     """Transpose of the Young diagram."""
-    if not mu:
-        return ()
-    return tuple(sum(1 for part in mu if part > j) for j in range(mu[0]))
+    conj: list[int] = []
+    for rows in range(len(mu), 0, -1):
+        conj += [rows] * (mu[rows - 1] - (mu[rows] if rows < len(mu) else 0))
+    return tuple(conj)
 
 
 def hook_lengths(mu: Partition) -> tuple[tuple[int, ...], ...]:
@@ -114,10 +120,11 @@ def hook_lengths(mu: Partition) -> tuple[tuple[int, ...], ...]:
 def degree(mu: Partition) -> int:
     """Number of standard Young tableaux of shape ``mu`` (hook length formula)."""
     n = sum(mu)
+    conj = conjugate(mu)
     prod = 1
-    for row in hook_lengths(mu):
-        for h in row:
-            prod *= h
+    for i, part in enumerate(mu):
+        for j in range(part):
+            prod *= part - j + conj[j] - i - 1
     deg, rem = divmod(factorial(n), prod)
     if rem:
         raise AssertionError(f"hook product {prod} does not divide {n}!")
@@ -137,8 +144,10 @@ def beta_set(mu: Partition, beads: int) -> tuple[int, ...]:
     """Beta-set of ``mu`` on ``beads`` beads, sorted descending."""
     if beads < len(mu):
         raise ValueError(f"need at least {len(mu)} beads, got {beads}")
-    padded = mu + (0,) * (beads - len(mu))
-    return tuple(padded[i] + (beads - 1 - i) for i in range(beads))
+    top = beads - 1
+    beta = [part + top - i for i, part in enumerate(mu)]
+    beta += range(top - len(mu), -1, -1)
+    return tuple(beta)
 
 
 def beta_to_partition(beta) -> Partition:
@@ -146,46 +155,64 @@ def beta_to_partition(beta) -> Partition:
     b = sorted(beta, reverse=True)
     if len(set(b)) != len(b) or (b and b[-1] < 0):
         raise ValueError(f"beta-set must be distinct nonnegative ints: {beta}")
-    mu = tuple(b[i] - (len(b) - 1 - i) for i in range(len(b)))
-    return tuple(x for x in mu if x > 0)
+    return _decode(b)
 
 
-def _padded_beads(mu: Partition, d: int) -> int:
-    """Least multiple of ``d`` that is ``>= len(mu)``."""
-    return -(-len(mu) // d) * d
+def _decode(b) -> Partition:
+    """Partition of a strictly decreasing sequence of nonnegative beads."""
+    top = len(b) - 1
+    mu = [x - top + i for i, x in enumerate(b)]
+    return tuple(mu[: len(mu) - mu.count(0)])
 
 
-def _runner_positions(mu: Partition, d: int) -> list[list[int]]:
-    """Bead positions on each of the ``d`` runners, positions sorted ascending."""
+def _runners(mu: Partition, d: int) -> list[list[int]]:
+    """Bead positions on each of the ``d`` runners, positions descending, for
+    the least multiple of ``d`` beads that is ``>= len(mu)``."""
     runners: list[list[int]] = [[] for _ in range(d)]
-    for x in beta_set(mu, _padded_beads(mu, d)):
+    for x in beta_set(mu, -(-len(mu) // d) * d):
         runners[x % d].append(x // d)
-    for r in runners:
-        r.sort()
     return runners
+
+
+def _pushed_down(counts: list[int]) -> Partition:
+    """The core whose abacus has ``counts[j]`` beads pushed down on runner ``j``."""
+    d = len(counts)
+    beta = [d * pos + j for j, c in enumerate(counts) for pos in range(c)]
+    return _decode(sorted(beta, reverse=True))
+
+
+def _core_quotient(mu: Partition, d: int) -> tuple[Partition, tuple[Partition, ...]]:
+    """The ``d``-core and the ``d``-quotient of ``mu`` from one abacus pass."""
+    runners = _runners(mu, d)
+    return _pushed_down([len(r) for r in runners]), tuple(_decode(r) for r in runners)
 
 
 def d_core(mu: Partition, d: int) -> Partition:
     """The ``d``-core: push all abacus beads down on each runner."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    beta = [
-        d * pos + j
-        for j, r in enumerate(_runner_positions(mu, d))
-        for pos in range(len(r))
-    ]
-    return beta_to_partition(beta)
+    return _pushed_down([len(r) for r in _runners(mu, d)])
 
 
 def is_d_core(mu: Partition, d: int) -> bool:
-    return d_core(mu, d) == mu
+    """Whether ``mu`` is a ``d``-core: every bead ``x >= d`` has a bead at ``x - d``."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    beads = set(beta_set(mu, len(mu)))
+    return all(x - d in beads for x in beads if x >= d)
+
+
+@lru_cache(maxsize=None)
+def cores_of_size(k: int, d: int) -> tuple[Partition, ...]:
+    """The ``d``-cores of size ``k``, in the order of :func:`partitions_of`."""
+    return tuple(mu for mu in partitions_of(k) if is_d_core(mu, d))
 
 
 def d_quotient(mu: Partition, d: int) -> tuple[Partition, ...]:
     """The ``d``-quotient: runner ``j``'s bead positions, read as a beta-set."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    return tuple(beta_to_partition(r) for r in _runner_positions(mu, d))
+    return _core_quotient(mu, d)[1]
 
 
 def from_core_quotient(core: Partition, quotient, d: int) -> Partition:
@@ -197,7 +224,12 @@ def from_core_quotient(core: Partition, quotient, d: int) -> Partition:
         raise ValueError(f"quotient must have exactly {d} components")
     if not is_d_core(core, d):
         raise ValueError(f"{core} is not a {d}-core")
-    counts = [len(r) for r in _runner_positions(core, d)]
+    return _from_core_quotient(core, quotient, d)
+
+
+def _from_core_quotient(core: Partition, quotient, d: int) -> Partition:
+    """:func:`from_core_quotient` on inputs already checked."""
+    counts = [len(r) for r in _runners(core, d)]
     # Growing the bead count by d adds one bead at the bottom of every
     # runner, so one uniform growth step raises every runner capacity by 1.
     grow = max([0] + [len(q) - c for q, c in zip(quotient, counts)])
@@ -206,7 +238,7 @@ def from_core_quotient(core: Partition, quotient, d: int) -> Partition:
         for j, (q, c) in enumerate(zip(quotient, counts))
         for pos in beta_set(q, c + grow)
     ]
-    return beta_to_partition(beta)
+    return _decode(sorted(beta, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -232,13 +264,13 @@ def core_tower(mu: Partition, ell: int) -> CoreTower:
     """Iterated core/quotient decomposition of ``mu``."""
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
+    empty_split = ((), ((),) * ell)
     rows: list[tuple[Partition, ...]] = []
     frontier = [mu]
-    while any(lam for lam in frontier):
-        rows.append(tuple(d_core(lam, ell) for lam in frontier))
-        frontier = [q for lam in frontier for q in d_quotient(lam, ell)]
-    while rows and all(lam == () for lam in rows[-1]):
-        rows.pop()
+    while any(frontier):
+        split = [_core_quotient(lam, ell) if lam else empty_split for lam in frontier]
+        rows.append(tuple(core for core, _ in split))
+        frontier = [q for _, quot in split for q in quot]
     return CoreTower(ell=ell, rows=tuple(rows))
 
 
@@ -251,17 +283,16 @@ def from_tower(tower: CoreTower) -> Partition:
         if len(row) != ell**i:
             raise ValueError(f"row {i} must have {ell**i} slots, has {len(row)}")
         for lam in row:
-            if not is_d_core(lam, ell):
+            if lam and not is_d_core(lam, ell):
                 raise ValueError(f"row {i} entry {lam} is not an {ell}-core")
     # Collapse bottom-up: the partitions of row i are rebuilt from their row-i
     # core and the ell children already collapsed from row i+1.
     level: list[Partition] = [()] * (ell ** len(tower.rows))
-    for i in range(len(tower.rows) - 1, -1, -1):
+    for row in reversed(tower.rows):
+        kids = [level[j : j + ell] for j in range(0, len(level), ell)]
         level = [
-            from_core_quotient(
-                tower.rows[i][j], level[j * ell : (j + 1) * ell], ell
-            )
-            for j in range(ell**i)
+            _from_core_quotient(core, quot, ell) if core or any(quot) else ()
+            for core, quot in zip(row, kids)
         ]
     return level[0]
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 from .arith import factorial_valuation, valuation
@@ -37,6 +36,7 @@ from .partitions import (
     CoreTower,
     EllExpansion,
     Partition,
+    cores_of_size,
     degree,
     ell_expansions,
     is_d_core,
@@ -154,11 +154,6 @@ def young_subgroups(
     return out
 
 
-@lru_cache(maxsize=None)
-def _cores_of(m: int, ell: int) -> tuple[Partition, ...]:
-    return tuple(mu for mu in partitions_of(m) if is_d_core(mu, ell))
-
-
 def _positive_compositions(total: int, parts: int):
     """Compositions of ``total`` into ``parts`` positive parts, first part
     descending."""
@@ -176,7 +171,7 @@ def _tier_assignments(labels: list[Label], beta: int, ell: int):
     for u in range(1, min(beta, len(labels)) + 1):
         for subset in combinations(labels, u):
             for mults in _positive_compositions(beta, u):
-                for lams in product(*(_cores_of(m, ell) for m in mults)):
+                for lams in product(*(cores_of_size(m, ell) for m in mults)):
                     yield tuple(zip(subset, mults)), lams
 
 

@@ -115,6 +115,12 @@ def test_e_ell_frozen_values():
     assert e_ell(2, 7) == 3
 
 
+@pytest.mark.parametrize("q, ell", [(6, 3), (4, 2)])
+def test_e_ell_rejects_q_divisible_by_ell(q, ell):
+    with pytest.raises(ValueError):
+        e_ell(q, ell)
+
+
 def test_E_set_examples():
     assert E_set(1, 3, 10) == [1, 3, 9]
     assert E_set(5, 3, 4) == []

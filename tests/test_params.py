@@ -12,6 +12,8 @@ from weightcomb.arith import EllParams, PrimePower
 from weightcomb.cli import EXIT_BOUND, EXIT_PASS, EXIT_USAGE, main
 from weightcomb.ffpoly import F_set, ctx_for, d_Gamma
 from weightcomb.glblocks import (
+    FracLabel,
+    SemisimpleLabel,
     blocks,
     d_gamma,
     principal_block,
@@ -64,6 +66,10 @@ ENTRY_POINTS = {
     "verify_counting": ("grid", lambda q, eps, ell: verify_counting(2, q, eps, ell)),
     "unipotent_hook_eGC": ("hook", lambda q, eps, ell: unipotent_hook_eGC(2, q, eps, ell)),
     "ffpoly.d_Gamma": ("poly", lambda q, eps, ell: d_Gamma(POLY_LABEL, eps, ell, q)),
+    "SemisimpleLabel": (
+        "params",
+        lambda q, eps, ell: SemisimpleLabel(q, eps, ell, 1, ((FracLabel(1, 1, 0), 1),)),
+    ),
 }
 
 COLUMNS = ("params", "grid", "hook", "poly")

@@ -253,6 +253,77 @@ def test_from_tower_validates():
 
 
 # ---------------------------------------------------------------------------
+# The abacus kernel against the rebuild-based reference it replaced.
+
+
+def _ref_beta_set(mu, beads):
+    padded = mu + (0,) * (beads - len(mu))
+    return tuple(padded[i] + (beads - 1 - i) for i in range(beads))
+
+
+def _ref_beta_to_partition(beta):
+    b = sorted(beta, reverse=True)
+    mu = tuple(b[i] - (len(b) - 1 - i) for i in range(len(b)))
+    return tuple(x for x in mu if x > 0)
+
+
+def _ref_runner_positions(mu, d):
+    runners = [[] for _ in range(d)]
+    for x in _ref_beta_set(mu, -(-len(mu) // d) * d):
+        runners[x % d].append(x // d)
+    for r in runners:
+        r.sort()
+    return runners
+
+
+def ref_d_core(mu, d):
+    return _ref_beta_to_partition(
+        d * pos + j
+        for j, r in enumerate(_ref_runner_positions(mu, d))
+        for pos in range(len(r))
+    )
+
+
+def ref_d_quotient(mu, d):
+    return tuple(_ref_beta_to_partition(r) for r in _ref_runner_positions(mu, d))
+
+
+def ref_degree(mu):
+    conj = tuple(sum(1 for part in mu if part > j) for j in range(mu[0] if mu else 0))
+    prod = math.prod(
+        mu[i] - j + conj[j] - i - 1 for i in range(len(mu)) for j in range(mu[i])
+    )
+    return math.factorial(sum(mu)) // prod
+
+
+def ref_tower_rows(mu, ell):
+    rows, frontier = [], [mu]
+    while any(frontier):
+        rows.append(tuple(ref_d_core(lam, ell) for lam in frontier))
+        frontier = [q for lam in frontier for q in ref_d_quotient(lam, ell)]
+    return tuple(rows)
+
+
+def test_kernel_matches_reference():
+    for n in range(17):
+        for mu in partitions_of(n):
+            assert degree(mu) == ref_degree(mu), mu
+            for d in range(2, 8):
+                core = ref_d_core(mu, d)
+                assert d_core(mu, d) == core, (mu, d)
+                assert d_quotient(mu, d) == ref_d_quotient(mu, d), (mu, d)
+                assert is_d_core(mu, d) == (core == mu), (mu, d)
+    for ell in (2, 3, 5):
+        for n in range(19):
+            for mu in partitions_of(n):
+                tower = core_tower(mu, ell)
+                assert tower.rows == ref_tower_rows(mu, ell), (mu, ell)
+                assert from_tower(tower) == mu, (mu, ell)
+    with pytest.raises(ValueError):
+        is_d_core((1,), 1)
+
+
+# ---------------------------------------------------------------------------
 # Defect.
 
 
