@@ -3,8 +3,10 @@ machine-readable JSON reports.
 
 Every command prints a single JSON report to stdout (keys sorted, stable
 ordering everywhere) and keeps diagnostics on stderr, so output is
-byte-identical across repeated runs.  Exit codes: 0 pass, 1 verification
-failure, 2 usage or parse error, 3 enumeration bound exceeded.
+byte-identical across repeated runs.  ``_emit`` streams each report with the
+bytes of ``json.dumps(report, sort_keys=True, indent=2)``, after every check
+that can fail.  Exit codes: 0 pass, 1 verification failure, 2 usage or parse
+error, 3 enumeration bound exceeded, 141 stdout closed by the reader.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii
+from types import GeneratorType
+from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
 from .arith import EllParams
@@ -46,6 +51,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+EXIT_PIPE = 141  # the shell's status for a writer killed by SIGPIPE
 
 
 class _UsageError(Exception):
@@ -89,7 +95,7 @@ def _eps_str(eps: int) -> str:
 def _report(
     command: Sequence[str],
     params: dict[str, Any],
-    results: list,
+    results: Iterable,
     passed: bool,
 ) -> dict:
     return {
@@ -102,8 +108,38 @@ def _report(
     }
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+def _emit(report: dict, stream: TextIO | None = None) -> None:
+    """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline to
+    ``stream`` (default stdout) in chunks; a generator may stand for a list."""
+    out = sys.stdout if stream is None else stream
+    pieces: list[str] = []
+
+    def put(value: Any, indent: str) -> None:
+        if isinstance(value, str):
+            pieces.append(encode_basestring_ascii(value))
+        elif isinstance(value, int) and value is not True and value is not False:
+            pieces.append(int.__repr__(value))
+        elif value is None or isinstance(value, (bool, float)):
+            pieces.append(json.dumps(value))
+        elif isinstance(value, (dict, list, tuple, GeneratorType)):
+            is_dict = isinstance(value, dict)
+            inner, sep, close = indent + "  ", *("{}" if is_dict else "[]")
+            for item in sorted(value) if is_dict else value:
+                key = encode_basestring_ascii(item) + ": " if is_dict else ""
+                pieces.append(sep + inner + key)
+                put(value[item] if is_dict else item, inner)
+                sep = ","
+                if len(pieces) > 8192:
+                    out.write("".join(pieces))
+                    pieces.clear()
+            pieces.append((indent if sep == "," else sep) + close)
+        else:
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+    put(report, "\n")
+    pieces.append("\n")
+    out.write("".join(pieces))
+    out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +227,7 @@ def _cmd_gl(args: argparse.Namespace, argv: Sequence[str]) -> int:
     }
     if args.action == "blocks":
         out = blocks(args.n, args.q, args.eps, args.ell)
-        results = [b.to_json_dict() for b in out]
-        _emit(_report(argv, params, results, True))
+        _emit(_report(argv, params, (b.to_json_dict() for b in out), True))
         return EXIT_PASS
     if args.action == "weights":
         params["block"] = args.block
@@ -454,7 +489,7 @@ def _cmd_campaign(args: argparse.Namespace, argv: Sequence[str]) -> int:
     _emit(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            _emit(report, handle)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
@@ -568,6 +603,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.handler(args, args_list)
+    except BrokenPipeError:
+        # The reader closed stdout: send the flush at exit to devnull instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -67,16 +67,17 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in reverse lexicographic order, ``(n)`` first."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-
-    def gen(m: int, maxpart: int):
-        if m == 0:
-            yield ()
-            return
-        for k in range(min(m, maxpart), 0, -1):
-            for rest in gen(m - k, k):
-                yield (k,) + rest
-
-    return tuple(gen(n, n))
+    # Reverse lex successor: drop the 1s, lower the last part, refill greedily.
+    parts, out = ([n], [(n,)]) if n else ([], [()])
+    while parts and parts[0] > 1:
+        freed = 1
+        while parts[-1] == 1:
+            freed += parts.pop()
+        parts[-1] -= 1
+        count, rest = divmod(freed, parts[-1])
+        parts += [parts[-1]] * count + [rest] * (rest > 0)
+        out.append(tuple(parts))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: JSON reports and exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weightcomb.cli import main
+from weightcomb.cli import _emit, _report, main
 from weightcomb.glblocks import blocks
 from weightcomb.partitions import d_core, d_quotient
 
@@ -22,6 +24,17 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def subprocess_env():
+    """The environment for running ``python -m weightcomb`` from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+
+GL_BLOCKS_4 = ["gl", "blocks", "--n", "4", "--q", "9", "--eps", "+", "--ell", "5"]
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +342,13 @@ def test_campaign_outputs_and_parallel_stability(capsys, tmp_path):
     config.write_text(json.dumps(SMALL_CAMPAIGN))
     out_file = tmp_path / "report.json"
     csv_file = tmp_path / "summary.csv"
-    code, report = run_json(
+    code, out, _ = run(
         capsys, "campaign", str(config),
         "--out", str(out_file), "--csv", str(csv_file),
     )
     assert code == 0
-    assert json.loads(out_file.read_text()) == report
+    assert out_file.read_text(encoding="utf-8") == out
+    report = json.loads(out)
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "index,op,pass"
     assert len(lines) == 4 and all(line.endswith("True") for line in lines[1:])
@@ -349,20 +363,103 @@ def test_campaign_same_report_under_optimize(tmp_path):
     exit code and byte-identical stdout."""
     config = tmp_path / "items.json"
     config.write_text(json.dumps(SMALL_CAMPAIGN))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
     runs = [
         subprocess.run(
             [sys.executable, *flags, "-m", "weightcomb", "campaign", str(config)],
-            capture_output=True, env=env, timeout=120,
+            capture_output=True, env=subprocess_env(), timeout=120,
         )
         for flags in ([], ["-O"])
     ]
     assert [run.returncode for run in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# The report writer.
+
+
+def emitted(value):
+    buf = io.StringIO()
+    _emit(value, buf)
+    return buf.getvalue()
+
+
+TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600'),
+    max_size=12,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | TEXT | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert emitted(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_generators_and_unsupported_types():
+    value = {"b": (x for x in [1, {"c": []}, ()]), "a": (x for x in ())}
+    expected = {"b": [1, {"c": []}, []], "a": []}
+    assert emitted(value) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert emitted([0.5, -2.0]) == json.dumps([0.5, -2.0], indent=2) + "\n"
+    with pytest.raises(TypeError):
+        emitted({"a": [1, {2, 3}]})
+
+
+class WriteLog:
+    """A stdout stand-in that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_gl_blocks_report_streams(monkeypatch):
+    log = WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(GL_BLOCKS_4) == 0
+    params = {"action": "blocks", "n": 4, "q": 9, "eps": "+", "ell": 5}
+    results = [b.to_json_dict() for b in blocks(4, 9, 1, 5)]
+    report = _report(GL_BLOCKS_4, params, results, True)
+    assert "".join(log.writes) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert len(log.writes) > 1
+    assert max(len(text.encode("utf-8")) for text in log.writes) <= 256 * 1024
+
+
+def test_gl_blocks_errors_leave_stdout_empty(capsys):
+    code, out, err = run(capsys, *GL_BLOCKS_4[:2], "--n", "7", *GL_BLOCKS_4[4:])
+    assert (code, out) == (3, "") and "bound" in err
+    code, out, _ = run(
+        capsys, "gl", "blocks", "--n", "2", "--q", "5", "--eps", "-", "--ell", "2"
+    )
+    assert (code, out) == (2, "")
+
+
+def test_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weightcomb", *GL_BLOCKS_4],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()  # the report is ~1.2 MB, far beyond one pipe buffer
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,28 @@ def test_partitions_of_order_and_count():
         assert len(partitions_of(n)) == partition_count(n)
 
 
+def _partitions_of_recursive(n):
+    """The recursive generator ``partitions_of`` used before its iterative
+    successor, kept as the reference."""
+
+    def gen(m, maxpart):
+        if m == 0:
+            yield ()
+            return
+        for k in range(min(m, maxpart), 0, -1):
+            for rest in gen(m - k, k):
+                yield (k,) + rest
+
+    return tuple(gen(n, n))
+
+
+def test_partitions_of_matches_recursive_reference():
+    for n in range(26):
+        assert partitions_of(n) == _partitions_of_recursive(n)
+    with pytest.raises(ValueError):
+        partitions_of(-1)
+
+
 def test_partition_count_known_values():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
     assert [partition_count(n) for n in range(16)] == known
