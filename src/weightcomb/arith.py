@@ -24,12 +24,7 @@ __all__ = [
     "valuation",
     "factorial_valuation",
     "multiplicative_order",
-    "e_ell",
-    "E_set",
     "d_of",
-    "a_of",
-    "cyclotomic_coeffs",
-    "cyclotomic_eval",
     "PrimePower",
     "EllParams",
 ]
@@ -136,24 +131,6 @@ def multiplicative_order(a: int, m: int) -> int:
     return k
 
 
-def e_ell(q: int, ell: int) -> int:
-    """Order of ``q`` modulo ``ell`` (modulo 4 when ``ell == 2``)."""
-    return d_of(q, 1, ell)
-
-
-def E_set(e: int, ell: int, bound: int) -> list[int]:
-    """The degrees ``e * ell**i`` up to ``bound`` (all powers of 2 when ``ell == 2``)."""
-    _check_ell(ell)
-    if e < 1:
-        raise ValueError(f"e must be >= 1, got {e}")
-    out = []
-    m = 1 if ell == 2 else e
-    while m <= bound:
-        out.append(m)
-        m *= ell
-    return out
-
-
 @lru_cache(maxsize=None)
 def d_of(q: int, eps: int, ell: int) -> int:
     """Order of ``eps * q`` modulo ``ell`` (modulo 4 when ``ell == 2``), for
@@ -165,49 +142,6 @@ def d_of(q: int, eps: int, ell: int) -> int:
         raise ValueError(f"ell={ell} must not divide q={q}")
     modulus = 4 if ell == 2 else ell
     return multiplicative_order(eps * q, modulus)
-
-
-def a_of(q: int, eps: int, ell: int) -> int:
-    """``valuation((eps*q)**d - 1, ell)`` where ``d = d_of(q, eps, ell)``."""
-    d = d_of(q, eps, ell)
-    return valuation((eps * q) ** d - 1, ell)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, constant term first."""
-    if n < 1:
-        raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    # x**n - 1 divided exactly by the product of all lower cyclotomic factors.
-    remainder = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d < n:
-            remainder = _exact_div(remainder, list(cyclotomic_coeffs(d)))
-    return tuple(remainder)
-
-
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (coefficients constant-term first)."""
-    num = num[:]
-    quot = [0] * (len(num) - len(den) + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("division is not exact")
-        quot[i] = c // den[-1]
-        for j, dc in enumerate(den):
-            num[i + j] -= quot[i] * dc
-    if any(num):
-        raise ArithmeticError("division leaves a remainder")
-    return quot
-
-
-def cyclotomic_eval(n: int, x: int) -> int:
-    """Value of the n-th cyclotomic polynomial at the integer ``x``."""
-    acc = 0
-    for c in reversed(cyclotomic_coeffs(n)):
-        acc = acc * x + c
-    return acc
 
 
 def _check_eps(eps: int) -> None:
@@ -246,19 +180,15 @@ class EllParams:
     :meth:`compute` applies the base rules (``eps = +-1``, ``q`` a prime
     power, ``ell`` a prime not dividing ``q``), then the ``ell = 2`` regime
     rule ``4 | (q - eps)``, which raises :class:`UnsupportedRegimeError`.
-    ``p`` is the characteristic of ``F_q``, ``e`` the order of ``q``, ``d``
-    the order of ``eps*q`` (both taken modulo ``ell``, or modulo 4 when
-    ``ell == 2``), and ``a`` the ``ell``-adic valuation of
-    ``(eps*q)**d - 1``.
+    ``p`` is the characteristic of ``F_q`` and ``d`` the order of ``eps*q``
+    modulo ``ell`` (modulo 4 when ``ell == 2``).
     """
 
     q: int
     eps: int
     ell: int
     p: int
-    e: int
     d: int
-    a: int
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -270,15 +200,7 @@ class EllParams:
             raise UnsupportedRegimeError(
                 f"ell=2 requires 4 | (q - eps); got q={q}, eps={eps:+d}"
             )
-        return cls(
-            q=q,
-            eps=eps,
-            ell=ell,
-            p=p,
-            e=e_ell(q, ell),
-            d=d,
-            a=a_of(q, eps, ell),
-        )
+        return cls(q=q, eps=eps, ell=ell, p=p, d=d)
 
     def d_gamma(self, deg: int) -> int:
         """``d_Gamma`` of a degree-``deg`` elementary divisor: the order of

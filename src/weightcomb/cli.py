@@ -16,13 +16,12 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
-from .arith import EllParams
+from .arith import EllParams, ellprime_part
 from .errors import BoundExceededError, UnsupportedRegimeError
 from .glblocks import (
     GRID_ELLS,
@@ -418,10 +417,7 @@ def _run_hook_scan(item: dict) -> dict:
                     out = unipotent_hook_eGC(n, q, eps, ell)
                     checked += 1
                     split = (q - eps) % (4 if ell == 2 else ell) == 0
-                    m = n
-                    while m % ell == 0:
-                        m //= ell
-                    if split and m == 1:
+                    if split and ellprime_part(n, ell) == 1:
                         good = out.mode == "hooks" and len(out.partitions) == n
                         good = good and all(
                             all(part == 1 for part in p[1:]) for p in out.partitions
@@ -467,24 +463,11 @@ _ITEM_RUNNERS = {
 def _cmd_campaign(args: argparse.Namespace, argv: Sequence[str]) -> int:
     config = _load_campaign(args.config)
     items = config["items"]
-
-    def run(item: dict) -> dict:
-        return _ITEM_RUNNERS[item["op"]](item)
-
-    # Items are independent; assembly below is by submission index, so the
-    # report is identical no matter the completion order.
-    if args.jobs > 1 and items:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, items))
-    else:
-        results = [run(item) for item in items]
-
+    results = [_ITEM_RUNNERS[item["op"]](item) for item in items]
     passed = all(r["pass"] for r in results)
-    params = {
-        "config": args.config or "default",
-        "items": len(items),
-        "jobs": args.jobs,
-    }
+    # Items run in order in one thread; "jobs" stays, as 1, so that
+    # campaign reports keep their bytes.
+    params = {"config": args.config or "default", "items": len(items), "jobs": 1}
     report = _report(argv, params, results, passed)
     _emit(report)
     if args.out:
@@ -585,9 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument("--out", default=None, help="also write the report here")
     camp.add_argument("--csv", default=None, help="write a CSV summary here")
-    camp.add_argument(
-        "--jobs", type=int, default=1, help="run items in up to N threads"
-    )
     camp.set_defaults(handler=_cmd_campaign)
 
     return parser

@@ -6,8 +6,10 @@ a root label: the orbit of a fraction a/r (standing for a primitive r-th
 root of unity in the algebraic closure) under multiplication by eps*q.  The
 orbit size is the degree of the divisor.  This representation keeps the
 whole enumeration grid tractable and turns the central and Frobenius
-actions into exact fraction arithmetic: the central character z shifts a
-label by k/(q - eps) and the field automorphism multiplies it by p.
+actions into integer arithmetic on numerators: the central character z
+shifts a label by k/(q - eps), the field automorphism multiplies it by p,
+and the image is found by walking the new numerator's orbit modulo its
+denominator.
 
 On top of the labels the module enumerates Lusztig series characters, block
 labels (s, kappa), the generic weights of a block, the Alperin-style weight
@@ -21,12 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
     EllParams,
-    _check_eps,
     divisors,
     ellprime_part,
     mobius,
@@ -86,10 +86,6 @@ class FracLabel:
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
 
 def _orbit(a: int, den: int, step: int) -> list[int]:
     """The multiply-by-step orbit of the numerator ``a`` modulo ``den``,
@@ -110,24 +106,9 @@ def _label(num: int, den: int, step: int) -> FracLabel:
     return FracLabel(len(orbit), den, min(orbit))
 
 
-def label_of_fraction(num: int, den: int, q: int, eps: int) -> FracLabel:
-    """Canonical label of the orbit through num/den (den coprime to q)."""
-    _check_eps(eps)
-    if den < 1:
-        raise ValueError(f"denominator must be >= 1, got {den}")
-    if math.gcd(den, q) != 1:
-        raise ValueError(f"denominator {den} must be coprime to q={q}")
-    return _label(num, den, eps * q)
-
-
 def is_ellprime_label(lab: FracLabel, ell: int) -> bool:
     """Whether the label's roots have order coprime to ell."""
     return lab.den % ell != 0
-
-
-def d_gamma(deg: int, q: int, eps: int, ell: int) -> int:
-    """Order of (eps*q)**deg modulo ell (modulo 4 when ell == 2)."""
-    return EllParams.compute(q, eps, ell).d_gamma(deg)
 
 
 def _unit_orbit_labels(r: int, step: int):
@@ -401,12 +382,6 @@ def series_labels(n: int, q: int, eps: int, ell: int) -> list[SeriesCharLabel]:
 # Weights.
 
 
-def _is_ell_power(m: int, ell: int) -> bool:
-    while m % ell == 0:
-        m //= ell
-    return m == 1
-
-
 def is_defect_zero(block: BlockLabel) -> bool:
     """Defect-zero test: every weight vanishes and ell does not divide q - eps."""
     s = block.s
@@ -423,7 +398,7 @@ def _positive_defect_case(block: BlockLabel) -> int | None:
     if len(s.assignments) != 1:
         return None
     _, m = s.assignments[0]
-    if not _is_ell_power(m, s.ell):
+    if ellprime_part(m, s.ell) != 1:
         return None
     return valuation(m, s.ell)
 
@@ -519,7 +494,7 @@ def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
     delta = _positive_defect_case(block)
     if delta is None:
         return ()
-    lab, m = s.assignments[0]
+    lab, _ = s.assignments[0]
     ell = s.ell
     d = s.params.d
     d_gam = s.params.d_gamma(lab.deg)
@@ -538,8 +513,6 @@ def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
                             s, gamma_exp, c_seq, (residue, vec), m_basic, alpha
                         )
                     )
-    if len(out) != m:
-        raise AssertionError(f"shape enumeration produced {len(out)} != m = {m}")
     return tuple(out)
 
 
@@ -760,7 +733,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
             nonlocal nonempty, weights_total, af_total
             gen = generic_weights(rep_block)
             af = af_weights(rep_block)
-            if (len(gen) == 0) != (len(af) == 0) or len(gen) != len(af):
+            if len(gen) != len(af):
                 mismatches.append(
                     {
                         "block": rep_block.to_json_dict(),
@@ -773,18 +746,6 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
                 nonempty += copies
                 weights_total += copies * len(gen)
                 af_total += copies * len(af)
-
-        if (q - eps) % ell == 0:
-            # d_Gamma = 1 throughout: a single block per s with empty cores.
-            if blocks_per_s != 1:
-                raise AssertionError("expected one block per label when ell | q - eps")
-            rep_block = BlockLabel(
-                rep_s,
-                tuple(() for _ in rep_s.assignments),
-                tuple(m for _, m in rep_s.assignments),
-            )
-            record(rep_block, class_size)
-            continue
 
         # Defect-zero blocks: independently pick a core of full size for
         # every divisor; any such representative verifies its whole class.
@@ -801,8 +762,9 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
             )
             record(rep_block, class_size * zero_blocks)
 
-        # Positive-weight blocks with ell not dividing q - eps: both weight
-        # sets are empty; verify one representative when any exists.
+        # Positive-weight blocks: both weight sets are empty unless ell
+        # divides q - eps, where d_Gamma = 1 leaves one block per label.
+        # Verify one representative when any exists.
         if blocks_per_s > zero_blocks:
             combo = None
             for candidate in itertools.product(*per_gamma):
@@ -864,6 +826,6 @@ def unipotent_hook_eGC(n: int, q: int, eps: int, ell: int) -> HookEGC:
         # ell = 2 with 4 not dividing q - eps: q is odd, so 4 | q + eps.
         return HookEGC("all", partitions_of(n))
     # d = 1 exactly when ell (4 for ell = 2) divides eps*q - 1, i.e. q - eps.
-    if params.d == 1 and _is_ell_power(n, ell):
+    if params.d == 1 and ellprime_part(n, ell) == 1:
         return HookEGC("hooks", hooks(n))
     return HookEGC("none", ())

@@ -8,7 +8,6 @@ between).  Exact but exponential, so guarded by a small size bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import BoundExceededError
@@ -17,17 +16,13 @@ from .partitions import (
     beta_set,
     defect,
     degree,
-    hooks,
     partitions_of,
 )
 
 __all__ = [
     "MN_BOUND",
     "mn_value",
-    "irr_ellprime_sym",
     "dz_chars_sym",
-    "WreathEllPrimeLabel",
-    "irr_ellprime_wreath",
     "wreath_char_degree",
 ]
 
@@ -61,54 +56,10 @@ def _mn(beta: frozenset[int], rho: tuple[int, ...]) -> int:
     return total
 
 
-def irr_ellprime_sym(i: int, ell: int) -> tuple[Partition, ...]:
-    """Labels of the ell**i irreducible characters of S_(ell**i) whose degree
-    is prime to ell: exactly the hooks, ordered by leg length."""
-    if i < 0:
-        raise ValueError(f"i must be >= 0, got {i}")
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    return hooks(ell**i)
-
-
 def dz_chars_sym(m: int, ell: int) -> tuple[Partition, ...]:
     """Labels of the defect-zero irreducible characters of S_m: the
     ell-cores of size m, in reverse lexicographic order."""
     return tuple(mu for mu in partitions_of(m) if defect(mu, ell) == 0)
-
-
-@dataclass(frozen=True)
-class WreathEllPrimeLabel:
-    """An irreducible character of C_e wr S_(ell**i) of degree prime to ell.
-
-    The multipartition has the hook of ``ell**i`` with leg length ``j`` in
-    component ``k`` and empty partitions elsewhere (any other shape makes
-    the multinomial factor of the degree divisible by ell).
-    """
-
-    e: int
-    i: int
-    k: int
-    j: int
-
-    def multipartition(self, ell: int) -> tuple[Partition, ...]:
-        hook = hooks(ell**self.i)[self.j]
-        return tuple(hook if t == self.k else () for t in range(self.e))
-
-
-def irr_ellprime_wreath(e: int, i: int, ell: int) -> tuple[WreathEllPrimeLabel, ...]:
-    """The e * ell**i characters of C_e wr S_(ell**i) of degree prime to ell."""
-    if e < 1:
-        raise ValueError(f"e must be >= 1, got {e}")
-    if i < 0:
-        raise ValueError(f"i must be >= 0, got {i}")
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    return tuple(
-        WreathEllPrimeLabel(e=e, i=i, k=k, j=j)
-        for k in range(e)
-        for j in range(ell**i)
-    )
 
 
 def wreath_char_degree(e: int, mus) -> int:

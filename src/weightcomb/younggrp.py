@@ -51,7 +51,6 @@ __all__ = [
     "YoungPair",
     "YoungTriple",
     "TowerTuple",
-    "young_subgroups",
     "triples",
     "triple_to_tower",
     "tower_to_triple",
@@ -140,18 +139,6 @@ def _check_kind(kind: str, n: int, e: int | None, ell: int) -> int:
         if n < 1:
             raise ValueError("kind 'typed' needs n >= 1")
     return e
-
-
-def young_subgroups(
-    kind: str, n: int, ell: int, e: int | None = None
-) -> list[tuple[EllExpansion, int]]:
-    """One (expansion, nu) per conjugacy class of ell-Young subgroups."""
-    _check_kind(kind, n, e, ell)
-    out = []
-    for exp in ell_expansions(n, ell):
-        nu = (n - sum(exp.coeffs)) // (ell - 1)
-        out.append((exp, nu))
-    return out
 
 
 def _positive_compositions(total: int, parts: int):

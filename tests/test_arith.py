@@ -7,15 +7,10 @@ from hypothesis import given, strategies as st
 
 from weightcomb import UnsupportedRegimeError
 from weightcomb.arith import (
-    E_set,
     EllParams,
     PrimePower,
-    a_of,
-    cyclotomic_coeffs,
-    cyclotomic_eval,
     d_of,
     divisors,
-    e_ell,
     ellprime_part,
     factorial_valuation,
     factorize,
@@ -108,26 +103,19 @@ def test_multiplicative_order_is_order(m, a):
 
 
 def test_e_ell_frozen_values():
-    assert e_ell(4, 3) == 1
-    assert e_ell(2, 5) == 4
-    assert e_ell(7, 2) == 2  # 7 = 3 mod 4
-    assert e_ell(5, 2) == 1  # 5 = 1 mod 4
-    assert e_ell(2, 7) == 3
+    """e_ell(q), the order of q modulo ell (modulo 4 for ell = 2), is
+    d_of(q, 1, ell)."""
+    assert d_of(4, 1, 3) == 1
+    assert d_of(2, 1, 5) == 4
+    assert d_of(7, 1, 2) == 2  # 7 = 3 mod 4
+    assert d_of(5, 1, 2) == 1  # 5 = 1 mod 4
+    assert d_of(2, 1, 7) == 3
 
 
 @pytest.mark.parametrize("q, ell", [(6, 3), (4, 2)])
 def test_e_ell_rejects_q_divisible_by_ell(q, ell):
     with pytest.raises(ValueError):
-        e_ell(q, ell)
-
-
-def test_E_set_examples():
-    assert E_set(1, 3, 10) == [1, 3, 9]
-    assert E_set(5, 3, 4) == []
-    assert E_set(2, 7, 100) == [2, 14, 98]
-    # For ell = 2 the degree set is all powers of two, whatever e is.
-    assert E_set(2, 2, 8) == [1, 2, 4, 8]
-    assert E_set(1, 2, 8) == [1, 2, 4, 8]
+        d_of(q, 1, ell)
 
 
 def test_d_of_frozen_values():
@@ -138,13 +126,6 @@ def test_d_of_frozen_values():
     assert d_of(7, -1, 2) == 1  # -7 = 1 mod 4
 
 
-def test_a_of_frozen_values():
-    assert a_of(2, 1, 3) == 1  # 2^2 - 1 = 3
-    assert a_of(8, 1, 3) == 2  # 8^2 - 1 = 63 = 9 * 7
-    assert a_of(4, 1, 3) == 1  # 4 - 1 = 3
-    assert a_of(7, -1, 2) == 3  # -7 - 1 = -8
-
-
 @pytest.mark.parametrize("ell", [3, 5, 7, 11])
 def test_d_versus_e_relation(ell):
     """d is determined by e: equal for eps=+1; for eps=-1 it is 2e, e/2, or e
@@ -152,8 +133,7 @@ def test_d_versus_e_relation(ell):
     for q in range(2, 33):
         if not is_prime(ell) or q % ell == 0:
             continue
-        e = e_ell(q, ell)
-        assert d_of(q, 1, ell) == e
+        e = d_of(q, 1, ell)
         d_minus = d_of(q, -1, ell)
         if e % 2 == 1:
             assert d_minus == 2 * e
@@ -161,31 +141,6 @@ def test_d_versus_e_relation(ell):
             assert d_minus == e // 2
         else:
             assert d_minus == e
-
-
-def test_cyclotomic_small_cases():
-    assert cyclotomic_coeffs(1) == (-1, 1)
-    assert cyclotomic_coeffs(2) == (1, 1)
-    assert cyclotomic_coeffs(4) == (1, 0, 1)
-    assert cyclotomic_coeffs(6) == (1, -1, 1)
-    assert cyclotomic_eval(6, 2) == 3
-    assert cyclotomic_eval(1, 2) == 1
-    assert cyclotomic_eval(12, 2) == 13
-
-
-def test_cyclotomic_product_identity():
-    """prod over d | n of Phi_d(x) = x^n - 1, checked at many integer points."""
-    for n in range(1, 31):
-        for x in range(2, 14):
-            assert math.prod(cyclotomic_eval(d, x) for d in divisors(n)) == x**n - 1
-
-
-def test_cyclotomic_degree_is_totient():
-    def phi(n):
-        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-    for n in range(1, 40):
-        assert len(cyclotomic_coeffs(n)) - 1 == phi(n)
 
 
 def test_prime_power_parse():
@@ -200,9 +155,9 @@ def test_prime_power_parse():
 
 def test_ellparams_compute():
     pr = EllParams.compute(2, 1, 3)
-    assert (pr.e, pr.d, pr.a) == (2, 2, 1)
+    assert (pr.p, pr.d) == (2, 2)
     pr = EllParams.compute(2, -1, 3)
-    assert (pr.e, pr.d, pr.a) == (2, 1, 1)
+    assert (pr.p, pr.d) == (2, 1)
 
 
 def test_ellparams_ell2_gate():

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: JSON reports and exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weightcomb import glblocks
 from weightcomb.cli import _emit, _report, main
-from weightcomb.glblocks import blocks
+from weightcomb.glblocks import blocks, verify_counting
 from weightcomb.partitions import d_core, d_quotient
 
 
@@ -26,9 +28,12 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
 def subprocess_env():
     """The environment for running ``python -m weightcomb`` from this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(REPO / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     )}
@@ -55,6 +60,34 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+# Cheap ops whose exit code, stdout size and sha256 the benchmark pins in
+# bench/reference.json; the report echoes argv, so they run from the root.
+PINNED_OPS = {
+    "campaign": ["campaign"],
+    "smoke_campaign": ["campaign", "bench/smoke_campaign.json"],
+    "gl_blocks_2_4_plus_3": [
+        "gl", "blocks", "--n", "2", "--q", "4", "--eps", "+", "--ell", "3"
+    ],
+    "gl_blocks_3_5_minus_3": [
+        "gl", "blocks", "--n", "3", "--q", "5", "--eps", "-", "--ell", "3"
+    ],
+    "young_sym_6_2": ["young", "verify", "--kind", "sym", "--n", "6", "--ell", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OPS.values(), ids=PINNED_OPS.keys())
+def test_reports_match_benchmark_reference(argv):
+    reference = json.loads((REPO / "bench" / "reference.json").read_text())
+    pinned = reference["weightcomb " + " ".join(argv)]
+    run = subprocess.run(
+        [sys.executable, "-m", "weightcomb", *argv],
+        capture_output=True, cwd=REPO, env=subprocess_env(), timeout=120,
+    )
+    assert run.returncode == pinned["exit"]
+    assert len(run.stdout) == pinned["bytes"]
+    assert hashlib.sha256(run.stdout).hexdigest() == pinned["sha256"]
 
 
 def test_version_flag(capsys):
@@ -213,6 +246,28 @@ def test_gl_verify(capsys):
     assert result["weights_total"] == result["af_total"] == 5
 
 
+def test_short_af_enumeration_is_a_reported_failure(capsys, monkeypatch):
+    """An AF enumeration that comes up short is a mismatch in the counting
+    report and exit 1 from the CLI, not an exception."""
+    compositions = glblocks._compositions
+
+    def drop_last(total):
+        found = list(compositions(total))
+        return found[:-1] if total else found
+
+    monkeypatch.setattr(glblocks, "_compositions", drop_last)
+    report = verify_counting(3, 4, 1, 3)
+    assert report.passed is False
+    assert [(m["generic"], m["af"]) for m in report.mismatches] == [(3, 1)]
+    argv = ["--n", "3", "--q", "4", "--eps", "+", "--ell", "3"]
+    code, out = run_json(capsys, "gl", "weights", *argv)
+    assert code == 1 and out["pass"] is False
+    result = out["results"][0]
+    assert (result["generic_count"], result["af_count"]) == (3, 1)
+    code, out = run_json(capsys, "gl", "verify", *argv)
+    assert code == 1 and out["results"][0]["pass"] is False
+
+
 def test_gl_eps_forms(capsys):
     for eps in ("-", "-1"):
         code, report = run_json(
@@ -338,6 +393,9 @@ SMALL_CAMPAIGN = {
 
 
 def test_campaign_outputs_and_parallel_stability(capsys, tmp_path):
+    """--out repeats stdout byte for byte and --csv summarizes the items.
+    Items always run in order in one thread: "jobs" is always 1, and there
+    is no --jobs flag."""
     config = tmp_path / "items.json"
     config.write_text(json.dumps(SMALL_CAMPAIGN))
     out_file = tmp_path / "report.json"
@@ -348,14 +406,12 @@ def test_campaign_outputs_and_parallel_stability(capsys, tmp_path):
     )
     assert code == 0
     assert out_file.read_text(encoding="utf-8") == out
-    report = json.loads(out)
+    assert json.loads(out)["params"]["jobs"] == 1
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "index,op,pass"
     assert len(lines) == 4 and all(line.endswith("True") for line in lines[1:])
-    # parallel run assembles the same results in the same order
-    code, parallel = run_json(capsys, "campaign", str(config), "--jobs", "3")
-    assert code == 0
-    assert parallel["results"] == report["results"]
+    code, _, err = run(capsys, "campaign", str(config), "--jobs", "2")
+    assert code == 2 and "--jobs" in err
 
 
 def test_campaign_same_report_under_optimize(tmp_path):

@@ -2,12 +2,11 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
 from weightcomb import BoundExceededError, UnsupportedRegimeError
-from weightcomb.arith import d_of, ellprime_part
+from weightcomb.arith import EllParams, d_of, ellprime_part
 from weightcomb.glblocks import (
     AFWeightLabel,
     BlockLabel,
@@ -25,13 +24,11 @@ from weightcomb.glblocks import (
     block_irr,
     blocks,
     covered_blocks,
-    d_gamma,
     ellprime_label_count,
     ellprime_labels,
     generic_weights,
     is_defect_zero,
     is_ellprime_label,
-    label_of_fraction,
     principal_block,
     semisimple_labels,
     series_labels,
@@ -39,7 +36,7 @@ from weightcomb.glblocks import (
     unipotent_hook_eGC,
     verify_counting,
 )
-from weightcomb.glblocks import _all_labels, _first_labels, _orbit
+from weightcomb.glblocks import _all_labels, _first_labels, _label, _orbit
 from weightcomb.partitions import d_core, hooks, partition_count, partitions_of
 
 TRIVIAL = FracLabel(1, 1, 0)
@@ -51,12 +48,13 @@ TRIVIAL = FracLabel(1, 1, 0)
 
 def test_label_canonicalization():
     # the orbit of 1/5 under multiplication by 4 is {1/5, 4/5}
-    lab = label_of_fraction(4, 5, 4, 1)
+    lab = _label(4, 5, 4)
     assert lab == FracLabel(2, 5, 1)
     assert str(lab) == "1/5"
     assert _orbit(1, 5, 4) == [1, 4]
-    assert label_of_fraction(0, 1, 4, 1) == TRIVIAL
-    assert label_of_fraction(7, 5, 4, 1) == FracLabel(2, 5, 2)  # 7/5 wraps to 2/5
+    assert _label(0, 1, 4) == TRIVIAL
+    assert _label(7, 5, 4) == FracLabel(2, 5, 2)  # 7/5 wraps to 2/5
+    assert _label(6, 10, 4) == FracLabel(2, 5, 2)  # 6/10 reduces to 3/5
 
 
 def test_label_validation():
@@ -66,8 +64,6 @@ def test_label_validation():
         FracLabel(1, 3, 3)  # not in [0, 1)
     with pytest.raises(ValueError):
         FracLabel(0, 1, 0)  # degree must be positive
-    with pytest.raises(ValueError):
-        label_of_fraction(1, 2, 4, 1)  # denominator shares a factor with q
 
 
 def test_degree_one_label_counts():
@@ -123,27 +119,28 @@ def test_first_labels_prefix_of_enumeration():
 
 
 def test_d_gamma_frozen():
-    assert d_gamma(1, 4, 1, 3) == 1
-    assert d_gamma(1, 2, 1, 3) == 2
-    assert d_gamma(2, 2, 1, 3) == 1
-    assert d_gamma(1, 5, 1, 2) == 1  # 5 = 1 mod 4
-    assert d_gamma(1, 3, -1, 2) == 1  # -3 = 1 mod 4
-    assert [d_gamma(m, 9, -1, 7) for m in range(1, 7)] == [6, 3, 2, 3, 6, 1]
-    assert d_gamma(1, 4, 1, 5) == 2  # 4 has order 2 mod 5
+    assert EllParams.compute(4, 1, 3).d_gamma(1) == 1
+    assert EllParams.compute(2, 1, 3).d_gamma(1) == 2
+    assert EllParams.compute(2, 1, 3).d_gamma(2) == 1
+    assert EllParams.compute(5, 1, 2).d_gamma(1) == 1  # 5 = 1 mod 4
+    assert EllParams.compute(3, -1, 2).d_gamma(1) == 1  # -3 = 1 mod 4
+    params = EllParams.compute(9, -1, 7)
+    assert [params.d_gamma(m) for m in range(1, 7)] == [6, 3, 2, 3, 6, 1]
+    assert EllParams.compute(4, 1, 5).d_gamma(1) == 2  # 4 has order 2 mod 5
 
 
 def test_d_gamma_vs_base_parameter():
     for q, eps, ell in [(2, 1, 3), (4, 1, 3), (2, -1, 3), (3, -1, 5), (5, 1, 2)]:
-        assert d_gamma(1, q, eps, ell) == d_of(q, eps, ell)
+        assert EllParams.compute(q, eps, ell).d_gamma(1) == d_of(q, eps, ell)
 
 
 def test_d_gamma_errors():
     with pytest.raises(ValueError):
-        d_gamma(1, 4, 1, 4)  # not prime
+        EllParams.compute(4, 1, 4).d_gamma(1)  # not prime
     with pytest.raises(ValueError):
-        d_gamma(1, 9, 1, 3)  # ell divides q
+        EllParams.compute(9, 1, 3).d_gamma(1)  # ell divides q
     with pytest.raises(UnsupportedRegimeError):
-        d_gamma(1, 5, -1, 2)  # 4 does not divide q - eps
+        EllParams.compute(5, -1, 2).d_gamma(1)  # 4 does not divide q - eps
 
 
 def test_is_ellprime_label():
@@ -283,7 +280,7 @@ def test_blocks_partition_series_labels():
                 for (glab, _), mu, core in zip(
                     lab.s.assignments, lab.mu, b.kappa
                 ):
-                    d = d_gamma(glab.deg, q, eps, ell)
+                    d = EllParams.compute(q, eps, ell).d_gamma(glab.deg)
                     actual = () if d == 1 else d_core(mu, d)
                     assert actual == core
             seen.extend(members)
@@ -302,7 +299,7 @@ def test_block_irr_count_is_product_of_multipartition_counts():
         for b in blocks(n, q, eps, ell):
             expected = 1
             for (lab, _), w in zip(b.s.assignments, b.weights):
-                expected *= multipartition_count(w, d_gamma(lab.deg, q, eps, ell))
+                expected *= multipartition_count(w, b.s.params.d_gamma(lab.deg))
             assert len(block_irr(b)) == expected
 
 
@@ -602,9 +599,14 @@ def test_covered_blocks_gl2_5():
         and all(w == 0 for w in b.weights)
         and covered_blocks(b) == 2
     ]
+
+    def plus_half(num, den):
+        g = math.gcd(2 * num + den, 2 * den)
+        return ((2 * num + den) // g % (2 * den // g), 2 * den // g)
+
     for b in fixed:
-        fracs = {lab.fraction for lab, _ in b.s.assignments}
-        assert {(fr + Fraction(1, 2)) % 1 for fr in fracs} == fracs
+        fracs = {(lab.num, lab.den) for lab, _ in b.s.assignments}
+        assert {plus_half(*fr) for fr in fracs} == fracs
 
 
 def test_covered_blocks_cubic_census():

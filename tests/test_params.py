@@ -15,7 +15,6 @@ from weightcomb.glblocks import (
     FracLabel,
     SemisimpleLabel,
     blocks,
-    d_gamma,
     principal_block,
     semisimple_labels,
     unipotent_hook_eGC,
@@ -28,7 +27,7 @@ BE = BoundExceededError
 VE = ValueError
 
 # (q, eps, ell) -> expected outcome of
-#   params: EllParams.compute, d_gamma, principal_block
+#   params: EllParams.compute, its d_gamma, principal_block
 #   grid:   semisimple_labels, blocks, verify_counting (n = 2)
 #   hook:   unipotent_hook_eGC (n = 2)
 #   poly:   ffpoly.d_Gamma, which like d_of needs no prime power q
@@ -59,7 +58,9 @@ POLY_LABEL = F_set(ctx_for(4), 1, 1)[0]
 
 ENTRY_POINTS = {
     "EllParams.compute": ("params", lambda q, eps, ell: EllParams.compute(q, eps, ell)),
-    "d_gamma": ("params", lambda q, eps, ell: d_gamma(1, q, eps, ell)),
+    "d_gamma": (
+        "params", lambda q, eps, ell: EllParams.compute(q, eps, ell).d_gamma(1)
+    ),
     "principal_block": ("params", lambda q, eps, ell: principal_block(2, q, eps, ell)),
     "semisimple_labels": ("grid", lambda q, eps, ell: semisimple_labels(2, q, eps, ell)),
     "blocks": ("grid", lambda q, eps, ell: blocks(2, q, eps, ell)),

@@ -14,10 +14,7 @@ from weightcomb.partitions import (
 )
 from weightcomb.symchars import (
     MN_BOUND,
-    WreathEllPrimeLabel,
     dz_chars_sym,
-    irr_ellprime_sym,
-    irr_ellprime_wreath,
     mn_value,
     wreath_char_degree,
 )
@@ -113,8 +110,8 @@ def test_mn_value_independent_of_part_order():
 
 @pytest.mark.parametrize("ell,i", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (5, 1)])
 def test_irr_ellprime_sym_is_hooks_and_exhaustive(ell, i):
-    labels = irr_ellprime_sym(i, ell)
-    assert labels == hooks(ell**i)
+    """The characters of S_(ell**i) of degree prime to ell are the hooks."""
+    labels = hooks(ell**i)
     assert len(labels) == ell**i
     # Exhaustiveness: these are exactly the characters of ell-prime degree.
     expected = [mu for mu in partitions_of(ell**i) if degree(mu) % ell != 0]
@@ -185,12 +182,15 @@ def _multipartitions(sizes):
 
 @pytest.mark.parametrize("e,i,ell", [(1, 1, 3), (2, 0, 3), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
 def test_irr_ellprime_wreath_exhaustive(e, i, ell):
-    """The labels are exactly the multipartitions of ell-prime degree, and
-    there are e * ell**i of them."""
-    labels = irr_ellprime_wreath(e, i, ell)
-    assert len(labels) == e * ell**i
-    got = sorted(lab.multipartition(ell) for lab in labels)
+    """The multipartitions of C_e wr S_(ell**i) of ell-prime degree are
+    exactly the e * ell**i with one hook of ell**i in one component."""
     n = ell**i
+    got = sorted(
+        tuple(hook if t == k else () for t in range(e))
+        for k in range(e)
+        for hook in hooks(n)
+    )
+    assert len(got) == e * n
     expected = sorted(
         mus
         for sizes in _weak_compositions(n, e)
@@ -198,8 +198,3 @@ def test_irr_ellprime_wreath_exhaustive(e, i, ell):
         if wreath_char_degree(e, mus) % ell != 0
     )
     assert got == expected
-
-
-def test_wreath_label_multipartition():
-    lab = WreathEllPrimeLabel(e=2, i=1, k=1, j=2)
-    assert lab.multipartition(3) == ((), (1, 1, 1))

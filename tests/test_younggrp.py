@@ -11,6 +11,7 @@ from weightcomb import BoundExceededError
 from weightcomb.arith import factorial_valuation
 from weightcomb.partitions import (
     EllExpansion,
+    ell_expansions,
     partition_count,
     partitions_of,
 )
@@ -23,7 +24,6 @@ from weightcomb.younggrp import (
     triples,
     tower_to_triple,
     verify_bijection,
-    young_subgroups,
 )
 
 
@@ -31,18 +31,26 @@ from weightcomb.younggrp import (
 # Young subgroups.
 
 
+def sym_young_classes(n, ell):
+    """One (expansion, nu) per conjugacy class of ell-Young subgroups of S_n."""
+    return [
+        (exp, YoungPair("sym", n, 1, ell, exp, ()).nu())
+        for exp in ell_expansions(n, ell)
+    ]
+
+
 def test_young_subgroups_examples():
-    classes = young_subgroups("sym", 3, 3)
+    classes = sym_young_classes(3, 3)
     assert len(classes) == 2
     assert sorted(nu for _, nu in classes) == [0, 1]
-    assert len(young_subgroups("sym", 4, 2)) == 4
+    assert len(sym_young_classes(4, 2)) == 4
 
 
 def test_young_subgroup_nu_matches_legendre():
     """nu = (n - sum b_i) / (ell - 1) equals sum b_i * val_ell(ell^i !)."""
     for ell in (2, 3, 5):
         for n in range(21):
-            for exp, nu in young_subgroups("sym", n, ell):
+            for exp, nu in sym_young_classes(n, ell):
                 direct = sum(
                     b * factorial_valuation(ell**i, ell)
                     for i, b in enumerate(exp.coeffs)
@@ -52,13 +60,13 @@ def test_young_subgroup_nu_matches_legendre():
 
 def test_young_subgroups_validation():
     with pytest.raises(ValueError):
-        young_subgroups("wreath", 3, 3, e=3)  # ell | e
+        triples("wreath", 3, 3, 3)  # ell | e
     with pytest.raises(ValueError):
-        young_subgroups("typed", 3, 2, e=1)  # typed needs odd ell
+        triples("typed", 3, 1, 2)  # typed needs odd ell
     with pytest.raises(ValueError):
-        young_subgroups("sym", 3, 3, e=2)
+        triples("sym", 3, 2, 3)
     with pytest.raises(ValueError):
-        young_subgroups("weird", 3, 3)
+        triples("weird", 3, None, 3)
 
 
 # ---------------------------------------------------------------------------
