@@ -15,14 +15,15 @@ On top of the labels the module enumerates Lusztig series characters, block
 labels (s, kappa), the generic weights of a block, the Alperin-style weight
 labels built from shapes (gamma, c-sequence) with their defect-zero index
 sets, and the hook classification of generalized-cuspidal unipotent
-characters in type A.
+characters in type A.  A block label holds only (s, kappa); its weights are
+derived, and one cached per-divisor core table decides which kappa are valid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .arith import (
@@ -39,7 +40,6 @@ from .partitions import (
     cores_of_size,
     d_core,
     hooks,
-    is_d_core,
     partitions_of,
 )
 
@@ -104,6 +104,15 @@ def _label(num: int, den: int, step: int) -> FracLabel:
     den //= g
     orbit = _orbit(num // g % den, den, step)
     return FracLabel(len(orbit), den, min(orbit))
+
+
+@lru_cache(maxsize=None)
+def _is_orbit_label(deg: int, den: int, num: int, step: int) -> bool:
+    """Whether FracLabel(deg, den, num) labels its multiply-by-step orbit (step a
+    unit mod den, num the orbit minimum, deg its length); int keys hash fast."""
+    if math.gcd(den, step) != 1:
+        return False
+    return _label(num, den, step) == FracLabel(deg, den, num)
 
 
 def is_ellprime_label(lab: FracLabel, ell: int) -> bool:
@@ -200,6 +209,9 @@ class SemisimpleLabel:
             raise ValueError("multiplicities must be >= 1")
         if sorted(labs) != labs:
             raise ValueError("assignments must be sorted by label")
+        for lab in labs:
+            if not _is_orbit_label(lab.deg, lab.den, lab.num, self.eps * self.q):
+                raise ValueError(f"{lab} of degree {lab.deg} is not an orbit label")
         total = sum(lab.deg * m for lab, m in self.assignments)
         if total != self.n:
             raise ValueError(f"degrees sum to {total}, expected n={self.n}")
@@ -254,10 +266,6 @@ def _core_of(mu: Partition, d: int) -> Partition:
     return () if d == 1 else d_core(mu, d)
 
 
-def _is_core(mu: Partition, d: int) -> bool:
-    return mu == () if d == 1 else is_d_core(mu, d)
-
-
 @dataclass(frozen=True)
 class SeriesCharLabel:
     """A series character label: a semisimple label together with one
@@ -283,27 +291,47 @@ class SeriesCharLabel:
         }
 
 
+@lru_cache(maxsize=None)
+def _core_choices(m: int, d: int) -> tuple[Partition, ...]:
+    """All d-cores arising as the d-core of a partition of m: the d-cores of
+    size congruent to m mod d, sizes ascending."""
+    if d == 1:
+        return ((),)
+    sizes = range(m % d, m + 1, d)
+    return tuple(mu for size in sizes for mu in cores_of_size(size, d))
+
+
+def _choices(s: SemisimpleLabel) -> list[tuple[Partition, ...]]:
+    """The core table of s: the d_Gamma-cores each divisor admits in a block."""
+    params = s.params
+    return [_core_choices(m, params.d_gamma(lab.deg)) for lab, m in s.assignments]
+
+
 @dataclass(frozen=True)
 class BlockLabel:
-    """A block label (s, kappa): per elementary divisor a d_Gamma-core with
-    the induced nonnegative weight (both aligned with s.assignments)."""
+    """A block label (s, kappa): per elementary divisor Gamma of s, a
+    d_Gamma-core kappa_Gamma from the core table of s (aligned with
+    s.assignments).  The weights are derived from the pair."""
 
     s: SemisimpleLabel
     kappa: tuple[Partition, ...]
-    weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.kappa) != len(self.s.assignments) or len(self.weights) != len(
-            self.s.assignments
-        ):
-            raise ValueError("kappa and weights must align with the assignments of s")
-        params = self.s.params
-        for (lab, m), core, w in zip(self.s.assignments, self.kappa, self.weights):
-            d = params.d_gamma(lab.deg)
-            if not _is_core(core, d):
-                raise ValueError(f"kappa at {lab} is not a {d}-core")
-            if w < 0 or m - sum(core) != w * d:
-                raise ValueError(f"weight mismatch at {lab}: m={m}, |kappa|={sum(core)}")
+        choices = _choices(self.s)
+        if len(self.kappa) != len(choices):
+            raise ValueError("kappa must align with the assignments of s")
+        for (lab, m), core, allowed in zip(self.s.assignments, self.kappa, choices):
+            if core not in allowed:
+                raise ValueError(f"kappa at {lab} is not a core of a partition of {m}")
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """w_Gamma = (m_Gamma - |kappa_Gamma|) / d_Gamma per divisor."""
+        d_gamma = self.s.params.d_gamma
+        return tuple(
+            (m - sum(core)) // d_gamma(lab.deg)
+            for (lab, m), core in zip(self.s.assignments, self.kappa)
+        )
 
     def to_json_dict(self) -> dict:
         base = self.s.to_json_dict()
@@ -317,30 +345,13 @@ class BlockLabel:
         }
 
 
-@lru_cache(maxsize=None)
-def _core_choices(m: int, d: int) -> tuple[Partition, ...]:
-    """All d-cores arising as the d-core of a partition of m: the d-cores of
-    size congruent to m mod d, sizes ascending."""
-    if d == 1:
-        return ((),)
-    sizes = range(m % d, m + 1, d)
-    return tuple(mu for size in sizes for mu in cores_of_size(size, d))
-
-
 def blocks(n: int, q: int, eps: int, ell: int) -> list[BlockLabel]:
     """All block labels (s, kappa) at the grid point."""
-    params = _check_grid(n, q, eps, ell)
-    out: list[BlockLabel] = []
-    for s in semisimple_labels(n, q, eps, ell):
-        ds = [params.d_gamma(lab.deg) for lab, _ in s.assignments]
-        per_gamma = [_core_choices(m, d) for (_, m), d in zip(s.assignments, ds)]
-        for combo in itertools.product(*per_gamma):
-            weights = tuple(
-                (m - sum(core)) // d
-                for (_, m), core, d in zip(s.assignments, combo, ds)
-            )
-            out.append(BlockLabel(s, combo, weights))
-    return out
+    return [
+        BlockLabel(s, combo)
+        for s in semisimple_labels(n, q, eps, ell)
+        for combo in itertools.product(*_choices(s))
+    ]
 
 
 def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:
@@ -348,11 +359,8 @@ def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:
     multiplicity n and kappa the d-core of the single-row partition."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d = EllParams.compute(q, eps, ell).d
-    trivial = FracLabel(1, 1, 0)
-    s = SemisimpleLabel(q, eps, ell, n, ((trivial, n),))
-    core = _core_of((n,), d)
-    return BlockLabel(s, (core,), ((n - sum(core)) // d,))
+    s = SemisimpleLabel(q, eps, ell, n, ((FracLabel(1, 1, 0), n),))
+    return BlockLabel(s, (_core_of((n,), s.params.d),))
 
 
 def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
@@ -549,53 +557,41 @@ def _act_label(action, lab: FracLabel, params: EllParams) -> FracLabel:
     return moved
 
 
+def _relabel(action, s: SemisimpleLabel, carried: tuple) -> tuple:
+    """Move every elementary divisor of s by the action and re-sort, carrying
+    the entry of ``carried`` aligned with each divisor."""
+    params = s.params
+    moved = sorted(
+        ((_act_label(action, lab, params), m), entry)
+        for (lab, m), entry in zip(s.assignments, carried)
+    )
+    new_s = SemisimpleLabel(s.q, s.eps, s.ell, s.n, tuple(p for p, _ in moved))
+    return new_s, tuple(entry for _, entry in moved)
+
+
 def act_on_semisimple(action, s: SemisimpleLabel) -> SemisimpleLabel:
     """Relabel every elementary divisor by the central shift (an integer
     exponent modulo q - eps) or by 'frob' (multiplication by p)."""
-    pairs = sorted(
-        (_act_label(action, lab, s.params), m) for lab, m in s.assignments
-    )
-    return SemisimpleLabel(s.q, s.eps, s.ell, s.n, tuple(pairs))
+    return _relabel(action, s, s.assignments)[0]
 
 
 def act_on_series(action, label: SeriesCharLabel) -> SeriesCharLabel:
     """Relabel the series character, carrying each partition with its divisor."""
-    s = label.s
-    params = s.params
-    moved = sorted(
-        ((_act_label(action, lab, params), m), part)
-        for (lab, m), part in zip(s.assignments, label.mu)
-    )
-    new_s = SemisimpleLabel(s.q, s.eps, s.ell, s.n, tuple(p for p, _ in moved))
-    return SeriesCharLabel(new_s, tuple(part for _, part in moved))
+    return SeriesCharLabel(*_relabel(action, label.s, label.mu))
 
 
 def act_on_block(action, block: BlockLabel) -> BlockLabel:
-    """Relabel the block, carrying each core and weight with its divisor."""
-    s = block.s
-    params = s.params
-    moved = sorted(
-        ((_act_label(action, lab, params), m), core, w)
-        for (lab, m), core, w in zip(s.assignments, block.kappa, block.weights)
-    )
-    new_s = SemisimpleLabel(s.q, s.eps, s.ell, s.n, tuple(p for p, _, _ in moved))
-    return BlockLabel(
-        new_s, tuple(c for _, c, _ in moved), tuple(w for _, _, w in moved)
-    )
+    """Relabel the block, carrying each core with its divisor."""
+    return BlockLabel(*_relabel(action, block.s, block.kappa))
 
 
 def act_on_weight(action, label):
     """Relabel a generic or AF weight label, keeping its combinatorial data."""
     if isinstance(label, GenericWeightLabel):
-        new_s = act_on_semisimple(action, label.s)
         series = None if label.series is None else act_on_series(action, label.series)
-        return GenericWeightLabel(new_s, label.hook, series)
+        return replace(label, s=act_on_semisimple(action, label.s), series=series)
     if isinstance(label, AFWeightLabel):
-        new_s = act_on_semisimple(action, label.s)
-        return AFWeightLabel(
-            new_s, label.gamma_exp, label.c_seq, label.psi_index,
-            label.m_basic, label.alpha,
-        )
+        return replace(label, s=act_on_semisimple(action, label.s))
     raise ValueError(f"not a weight label: {label!r}")
 
 
@@ -708,7 +704,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
     of (degree, multiplicity) pairs): every quantity compared depends only
     on the shape, so one representative per shape verifies its whole class.
     """
-    params = _check_grid(n, q, eps, ell)
+    _check_grid(n, q, eps, ell)
     counts = {d: ellprime_label_count(q, eps, ell, d) for d in range(1, n + 1)}
     degs = tuple(d for d in range(1, n + 1) if counts[d] > 0)
     s_count = 0
@@ -722,10 +718,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
         class_size = _shape_class_size(shape, counts)
         s_count += class_size
         rep_s = _representative_semisimple(shape, q, eps, ell, n)
-        per_gamma = [
-            _core_choices(m, params.d_gamma(lab.deg))
-            for lab, m in rep_s.assignments
-        ]
+        per_gamma = _choices(rep_s)
         blocks_per_s = math.prod(len(choices) for choices in per_gamma)
         blocks_checked += class_size * blocks_per_s
 
@@ -755,31 +748,16 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
         ]
         zero_blocks = math.prod(len(f) for f in full_cores)
         if zero_blocks:
-            rep_block = BlockLabel(
-                rep_s,
-                tuple(f[0] for f in full_cores),
-                tuple(0 for _ in rep_s.assignments),
-            )
+            rep_block = BlockLabel(rep_s, tuple(f[0] for f in full_cores))
             record(rep_block, class_size * zero_blocks)
 
         # Positive-weight blocks: both weight sets are empty unless ell
         # divides q - eps, where d_Gamma = 1 leaves one block per label.
-        # Verify one representative when any exists.
+        # Verify one representative when any exists: the choices ascend in
+        # size, so the smallest cores give a block of positive weight.
         if blocks_per_s > zero_blocks:
-            combo = None
-            for candidate in itertools.product(*per_gamma):
-                if any(
-                    sum(core) != m
-                    for core, (_, m) in zip(candidate, rep_s.assignments)
-                ):
-                    combo = candidate
-                    break
-            weights = tuple(
-                (m - sum(core)) // params.d_gamma(lab.deg)
-                for (lab, m), core in zip(rep_s.assignments, combo)
-            )
-            record(BlockLabel(rep_s, combo, weights),
-                   class_size * (blocks_per_s - zero_blocks))
+            rep_block = BlockLabel(rep_s, tuple(ch[0] for ch in per_gamma))
+            record(rep_block, class_size * (blocks_per_s - zero_blocks))
 
     return CountingReport(
         n,

@@ -9,6 +9,7 @@ import itertools
 import math
 
 from weightcomb.arith import factorial_valuation, valuation
+from weightcomb.cli import _grid_points
 from weightcomb.ffpoly import (
     CentralScalar,
     F_set,
@@ -21,9 +22,7 @@ from weightcomb.ffpoly import (
 )
 from weightcomb.ffpoly import _pow_x_mod
 from weightcomb.glblocks import (
-    GRID_ELLS,
     GRID_MAX_N,
-    GRID_PRIME_POWERS,
     act_on_block,
     act_on_series,
     act_on_weight,
@@ -55,28 +54,23 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion C{num} failed: {detail}"
 
 
-def _grid_points(n_max: int):
-    for n in range(1, n_max + 1):
-        for q in GRID_PRIME_POWERS:
-            for eps in (1, -1):
-                for ell in GRID_ELLS:
-                    if q % ell == 0:
-                        continue
-                    if ell == 2 and (q - eps) % 4 != 0:
-                        continue
-                    yield n, q, eps, ell
-
-
 def test_c01_hook_classification():
     """Exactly n hooks iff n = ell^k and ell | (q - eps) (4 | (q - eps) for
-    ell = 2); every partition iff ell = 2 and 4 | (q + eps); else nothing."""
-    checked = 0
+    ell = 2); every partition iff ell = 2 and 4 | (q + eps); else nothing.
+    Points with ell | q are rejected with ValueError."""
+    checked = rejected = 0
     ok = True
     for n in range(2, 10):
         for q in PRIME_POWERS:
             for eps in (1, -1):
                 for ell in (2, 3, 5):
                     if q % ell == 0:
+                        try:
+                            unipotent_hook_eGC(n, q, eps, ell)
+                        except ValueError:
+                            rejected += 1
+                        else:
+                            ok = False
                         continue
                     out = unipotent_hook_eGC(n, q, eps, ell)
                     checked += 1
@@ -102,18 +96,23 @@ def test_c01_hook_classification():
                     else:
                         good = out.mode == "none" and out.partitions == ()
                     ok = ok and good
-    _criterion(1, ok, f"hook classification exact on {checked} points")
+    _criterion(
+        1,
+        ok,
+        f"hook classification exact on {checked} points, "
+        f"{rejected} points with ell | q rejected",
+    )
 
 
 def test_c02_weight_counting_corollary():
     """Every block on the grid has equally many generic and Alperin-style
     weights (equal emptiness), with count m = ell^delta in the positive
     defect case."""
-    points = blocks_total = 0
-    ok = True
-    for n, q, eps, ell in _grid_points(GRID_MAX_N):
+    points = _grid_points(GRID_MAX_N)
+    ok = len(points) == 228  # the regime rules keep 228 points with n <= 6
+    blocks_total = 0
+    for n, q, eps, ell in points:
         report = verify_counting(n, q, eps, ell)
-        points += 1
         blocks_total += report.blocks_checked
         ok = ok and report.passed
     # independent cardinality check in the positive defect case, n <= 4
@@ -135,7 +134,7 @@ def test_c02_weight_counting_corollary():
     _criterion(
         2,
         ok,
-        f"{blocks_total} blocks over {points} grid points; "
+        f"{blocks_total} blocks over {len(points)} grid points; "
         f"{case2} positive-defect blocks have exactly m = ell^delta weights",
     )
 

@@ -36,8 +36,20 @@ from weightcomb.glblocks import (
     unipotent_hook_eGC,
     verify_counting,
 )
-from weightcomb.glblocks import _all_labels, _first_labels, _label, _orbit
-from weightcomb.partitions import d_core, hooks, partition_count, partitions_of
+from weightcomb.glblocks import (
+    _all_labels,
+    _core_choices,
+    _first_labels,
+    _label,
+    _orbit,
+)
+from weightcomb.partitions import (
+    d_core,
+    hooks,
+    is_d_core,
+    partition_count,
+    partitions_of,
+)
 
 TRIVIAL = FracLabel(1, 1, 0)
 
@@ -184,6 +196,20 @@ def test_semisimple_validation():
         SemisimpleLabel(4, 1, 3, 0, ((TRIVIAL, 0),))  # zero multiplicity
 
 
+@pytest.mark.parametrize(
+    "q, lab",
+    [
+        (9, FracLabel(2, 3, 1)),  # 3 | q: multiplying by 9 is not a unit mod 3
+        (9, FracLabel(2, 8, 3)),  # 3/8 is fixed by 9, so its degree is 1
+        (2, FracLabel(3, 7, 5)),  # the orbit {5, 3, 6} of 5/7 starts at 3/7
+    ],
+)
+def test_semisimple_rejects_non_orbit_labels(q, lab):
+    # the actions walk a label's orbit, which never closes for such labels
+    with pytest.raises(ValueError):
+        SemisimpleLabel(q, 1, 5, lab.deg, ((lab, 1),))
+
+
 def test_grid_bounds():
     with pytest.raises(BoundExceededError):
         semisimple_labels(7, 2, 1, 3)
@@ -248,12 +274,24 @@ def test_principal_block():
 def test_block_validation():
     s = SemisimpleLabel(2, 1, 3, 2, ((TRIVIAL, 2),))  # d_Gamma = 2
     with pytest.raises(ValueError):
-        BlockLabel(s, ((1,),), (0,))  # |kappa| = 1 has wrong parity
+        BlockLabel(s, ((1,),))  # |kappa| = 1 has wrong parity
     with pytest.raises(ValueError):
-        BlockLabel(s, ((2,),), (0,))  # (2) is not a 2-core
-    with pytest.raises(ValueError):
-        BlockLabel(s, ((),), (2,))  # weight should be 1
-    BlockLabel(s, ((),), (1,))  # and this one is fine
+        BlockLabel(s, ((2,),))  # (2) is not a 2-core
+    assert BlockLabel(s, ((),)).weights == (1,)  # and this one is fine
+
+
+def test_core_table_is_the_core_predicate():
+    """Membership in the core table is exactly the rule it replaced: a
+    d-core (only () for d = 1) of size at most m and congruent to m mod d."""
+    for d in range(1, 8):
+        for m in range(11):
+            table = _core_choices(m, d)
+            assert len(set(table)) == len(table)
+            for size in range(11):
+                for kappa in partitions_of(size):
+                    is_core = kappa == () if d == 1 else is_d_core(kappa, d)
+                    expected = is_core and size <= m and (m - size) % d == 0
+                    assert (kappa in table) == expected, (kappa, m, d)
 
 
 def test_blocks_partition_series_labels():
@@ -662,31 +700,6 @@ def test_hook_egc_frozen():
         "mode": "hooks",
         "partitions": [[2], [1, 1]],
     }
-
-
-def test_hook_egc_trichotomy_scan():
-    prime_powers = [2, 3, 4, 5, 7, 8, 9]
-    for n in range(2, 10):
-        for q in prime_powers:
-            for eps in (1, -1):
-                for ell in (2, 3, 5):
-                    if q % ell == 0:
-                        with pytest.raises(ValueError):
-                            unipotent_hook_eGC(n, q, eps, ell)
-                        continue
-                    out = unipotent_hook_eGC(n, q, eps, ell)
-                    split = (q - eps) % (4 if ell == 2 else ell) == 0
-                    m, power = n, True
-                    while m % ell == 0:
-                        m //= ell
-                    power = m == 1
-                    if split and power:
-                        assert out.mode == "hooks" and len(out.partitions) == n
-                    elif ell == 2 and (q + eps) % 4 == 0:
-                        assert out.mode == "all"
-                        assert len(out.partitions) == partition_count(n)
-                    else:
-                        assert out.mode == "none" and out.partitions == ()
 
 
 def test_hook_egc_errors():

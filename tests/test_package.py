@@ -1,9 +1,14 @@
 """Tests for the package's public surface."""
 
 import importlib
+import importlib.util
 import pkgutil
+from functools import reduce
+from pathlib import Path
 
 import weightcomb
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_resolves():
@@ -17,3 +22,18 @@ def test_every_public_name_resolves():
         assert len(set(module.__all__)) == len(module.__all__), module.__name__
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+def test_benchmark_trace_targets_resolve():
+    """``bench/run.py --trace 1`` wraps these functions by name, so a rename
+    in ``weightcomb`` must fail here rather than only in a traced run."""
+    path = REPO / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert child.TARGETS
+    for mod_name, attr, _stem, mode, _tally in child.TARGETS:
+        module = importlib.import_module(f"weightcomb.{mod_name}")
+        target = reduce(getattr, attr.split("."), module)
+        assert callable(target), f"{mod_name}.{attr}"
+        assert mode in ("span", "count"), f"{mod_name}.{attr}: {mode}"
