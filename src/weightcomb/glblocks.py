@@ -16,7 +16,7 @@ labels (s, kappa), the generic weights of a block, the Alperin-style weight
 labels built from shapes (gamma, c-sequence) with their defect-zero index
 sets, and the hook classification of generalized-cuspidal unipotent
 characters in type A.  A block label holds only (s, kappa); its weights are
-derived, and one cached per-divisor core table decides which kappa are valid.
+derived, and one cached per-divisor core table lists the valid kappa.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import (
     EllParams,
@@ -220,6 +220,13 @@ class SemisimpleLabel:
     def params(self) -> EllParams:
         return EllParams.compute(self.q, self.eps, self.ell)
 
+    @cached_property
+    def d_gammas(self) -> tuple[int, ...]:
+        """d_Gamma of each elementary divisor, aligned with the assignments;
+        computed once per label, since every block of s reads it."""
+        d_gamma = self.params.d_gamma
+        return tuple(d_gamma(lab.deg) for lab, _ in self.assignments)
+
     def to_json_dict(self) -> dict:
         return {
             "q": self.q,
@@ -301,36 +308,42 @@ def _core_choices(m: int, d: int) -> tuple[Partition, ...]:
     return tuple(mu for size in sizes for mu in cores_of_size(size, d))
 
 
+@lru_cache(maxsize=None)
+def _is_choice(core: Partition, m: int, d: int) -> bool:
+    """Whether core is in _core_choices(m, d), decided without building the
+    table (for d > m it holds every partition of m)."""
+    size = sum(core)
+    return size <= m and (m - size) % d == 0 and _core_of(core, d) == core
+
+
 def _choices(s: SemisimpleLabel) -> list[tuple[Partition, ...]]:
     """The core table of s: the d_Gamma-cores each divisor admits in a block."""
-    params = s.params
-    return [_core_choices(m, params.d_gamma(lab.deg)) for lab, m in s.assignments]
+    return [_core_choices(m, d) for (_, m), d in zip(s.assignments, s.d_gammas)]
 
 
 @dataclass(frozen=True)
 class BlockLabel:
     """A block label (s, kappa): per elementary divisor Gamma of s, a
-    d_Gamma-core kappa_Gamma from the core table of s (aligned with
-    s.assignments).  The weights are derived from the pair."""
+    d_Gamma-core kappa_Gamma of a partition of m_Gamma (aligned with
+    s.assignments), so one entry of the core table of s.  The weights are
+    derived from the pair."""
 
     s: SemisimpleLabel
     kappa: tuple[Partition, ...]
 
     def __post_init__(self) -> None:
-        choices = _choices(self.s)
-        if len(self.kappa) != len(choices):
+        if len(self.kappa) != len(self.s.assignments):
             raise ValueError("kappa must align with the assignments of s")
-        for (lab, m), core, allowed in zip(self.s.assignments, self.kappa, choices):
-            if core not in allowed:
+        for (lab, m), core, d in zip(self.s.assignments, self.kappa, self.s.d_gammas):
+            if not _is_choice(core, m, d):
                 raise ValueError(f"kappa at {lab} is not a core of a partition of {m}")
 
     @property
     def weights(self) -> tuple[int, ...]:
         """w_Gamma = (m_Gamma - |kappa_Gamma|) / d_Gamma per divisor."""
-        d_gamma = self.s.params.d_gamma
         return tuple(
-            (m - sum(core)) // d_gamma(lab.deg)
-            for (lab, m), core in zip(self.s.assignments, self.kappa)
+            (m - sum(core)) // d
+            for (_, m), core, d in zip(self.s.assignments, self.kappa, self.s.d_gammas)
         )
 
     def to_json_dict(self) -> dict:
@@ -366,10 +379,8 @@ def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:
 def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
     """The series characters in the block: all mu with the block's cores."""
     s = block.s
-    params = s.params
     per_gamma = []
-    for (lab, m), core in zip(s.assignments, block.kappa):
-        d = params.d_gamma(lab.deg)
+    for (_, m), core, d in zip(s.assignments, block.kappa, s.d_gammas):
         per_gamma.append(
             tuple(mu for mu in partitions_of(m) if _core_of(mu, d) == core)
         )

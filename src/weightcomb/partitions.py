@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial
 
 __all__ = [
     "Partition",
@@ -205,29 +205,8 @@ def is_d_core(mu: Partition, d: int) -> bool:
 
 @lru_cache(maxsize=None)
 def cores_of_size(k: int, d: int) -> tuple[Partition, ...]:
-    """The ``d``-cores of size ``k``, in the order of :func:`partitions_of`.
-    Runner ``i`` of a core's flush abacus holds ``c_i`` beads more than the
-    mean, and twice the size is the sum of the nonnegative terms
-    ``c_i * (d*c_i + 2*i - d + 1)`` (Garvan-Kim-Stanton), searched runner by runner."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if d > k:
-        return partitions_of(k)  # no hook of a partition of k is that long
-
-    def charge_vectors(charges: list[int], left: int):
-        i = len(charges)
-        if i == d - 1:
-            last = -sum(charges)
-            if last * (d * last + d - 1) == left:
-                yield charges + [last]
-            return
-        # the term of a charge c is at least d * (|c| - 1)**2
-        for c in range(-1 - isqrt(left // d), 2 + isqrt(left // d)):
-            if (cost := c * (d * c + 2 * i - d + 1)) <= left:
-                yield from charge_vectors(charges + [c], left - cost)
-
-    cores = [_pushed_down([c - min(v) for c in v]) for v in charge_vectors([], 2 * k)]
-    return tuple(sorted(cores, reverse=True))
+    """The ``d``-cores of size ``k``, in the order of :func:`partitions_of`."""
+    return tuple(mu for mu in partitions_of(k) if is_d_core(mu, d))
 
 
 def d_quotient(mu: Partition, d: int) -> tuple[Partition, ...]:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 
@@ -271,6 +272,17 @@ def test_principal_block():
     assert pb.kappa == ((),) and pb.weights == (1,)
 
 
+def test_principal_block_at_large_n():
+    """Validating one kappa never builds the core table, which for d >= n
+    holds every partition of n (about 1.9e8 at n = 100)."""
+    start = time.perf_counter()
+    pb = principal_block(100, 2, 1, 101)  # d = 100
+    assert pb.kappa == ((),) and pb.weights == (1,)
+    pb = principal_block(150, 2, 1, 101)
+    assert pb.kappa == ((50,),) and pb.weights == (1,)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_block_validation():
     s = SemisimpleLabel(2, 1, 3, 2, ((TRIVIAL, 2),))  # d_Gamma = 2
     with pytest.raises(ValueError):
@@ -292,6 +304,31 @@ def test_core_table_is_the_core_predicate():
                     is_core = kappa == () if d == 1 else is_d_core(kappa, d)
                     expected = is_core and size <= m and (m - size) % d == 0
                     assert (kappa in table) == expected, (kappa, m, d)
+
+
+# One grid point per d_Gamma = 1..7 for the trivial divisor.
+_POINT_OF_D = {
+    1: (2, -1, 3), 2: (2, 1, 3), 3: (2, 1, 7), 4: (2, 1, 5),
+    5: (2, 1, 31), 6: (3, 1, 7), 7: (2, 1, 127),
+}
+
+
+def test_block_label_accepts_the_core_table():
+    """BlockLabel checks kappa by the table's rule without building the
+    table; it accepts exactly the table's entries."""
+    for d, (q, eps, ell) in _POINT_OF_D.items():
+        assert EllParams.compute(q, eps, ell).d == d
+        for m in range(1, 11):
+            s = SemisimpleLabel(q, eps, ell, m, ((TRIVIAL, m),))
+            table = _core_choices(m, d)
+            for size in range(11):
+                for kappa in partitions_of(size):
+                    try:
+                        BlockLabel(s, (kappa,))
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == (kappa in table), (kappa, m, d)
 
 
 def test_blocks_partition_series_labels():

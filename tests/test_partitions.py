@@ -20,7 +20,6 @@ from weightcomb.partitions import (
     beta_to_partition,
     conjugate,
     core_tower,
-    cores_of_size,
     d_core,
     d_quotient,
     defect,
@@ -344,18 +343,6 @@ def test_kernel_matches_reference():
                 assert from_tower(tower) == mu, (mu, ell)
     with pytest.raises(ValueError):
         is_d_core((1,), 1)
-
-
-def test_cores_of_size_matches_reference():
-    """The abacus search finds exactly the partitions that the reference
-    rim-hook walk leaves unchanged, in the order of partitions_of."""
-    for n in range(19):
-        for d in range(2, 10):
-            expected = tuple(mu for mu in partitions_of(n) if ref_d_core(mu, d) == mu)
-            assert cores_of_size(n, d) == expected, (n, d)
-    for d in (0, 1):
-        with pytest.raises(ValueError):
-            cores_of_size(3, d)
 
 
 # ---------------------------------------------------------------------------
