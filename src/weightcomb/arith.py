@@ -31,19 +31,8 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (inputs here are small)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether ``n`` is prime, read off its factorization (inputs here are small)."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:

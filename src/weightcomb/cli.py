@@ -21,15 +21,15 @@ from types import GeneratorType
 from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
-from .arith import EllParams, ellprime_part
+from .arith import ellprime_part
 from .errors import BoundExceededError, UnsupportedRegimeError
 from .glblocks import (
-    GRID_ELLS,
     GRID_MAX_N,
     GRID_PRIME_POWERS,
     af_weights,
     blocks,
     generic_weights,
+    grid_points,
     principal_block,
     shape_count_identity,
     unipotent_hook_eGC,
@@ -346,24 +346,10 @@ def _run_gl_verify(item: dict) -> dict:
     }
 
 
-def _grid_points(n_max: int) -> list[tuple[int, int, int, int]]:
-    points = []
-    for n in range(1, n_max + 1):
-        for q in GRID_PRIME_POWERS:
-            for eps in (1, -1):
-                for ell in GRID_ELLS:
-                    try:
-                        EllParams.compute(q, eps, ell)
-                    except ValueError:
-                        continue  # the parameter rules reject the point
-                    points.append((n, q, eps, ell))
-    return points
-
-
 def _run_gl_grid(item: dict) -> dict:
     n_max = _int_field(item, "n_max", GRID_MAX_N)
     failures = []
-    points = _grid_points(n_max)
+    points = grid_points(n_max)
     total_blocks = 0
     for n, q, eps, ell in points:
         report = verify_counting(n, q, eps, ell)

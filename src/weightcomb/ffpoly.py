@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import gcd
 
-from .arith import PrimePower, d_of, factorize, valuation
+from .arith import PrimePower, _check_eps, d_of, factorize, valuation
 from .errors import BoundExceededError
 
 __all__ = [
@@ -235,8 +235,7 @@ class FieldCtx:
         return extension_field(self.base, 2)
 
     def working(self, eps: int) -> FiniteField:
-        if eps not in (1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {eps!r}")
+        _check_eps(eps)
         return self.base if eps == 1 else self.quadratic
 
 
@@ -397,8 +396,7 @@ class PolyLabel:
 
 def F_set(ctx: FieldCtx, eps: int, n: int) -> list[PolyLabel]:
     """All labels of degree <= n, sorted by (degree, code)."""
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps!r}")
+    _check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     labels = []

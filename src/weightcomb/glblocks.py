@@ -37,6 +37,7 @@ from .arith import (
 from .errors import BoundExceededError, UnsupportedRegimeError
 from .partitions import (
     Partition,
+    compositions,
     cores_of_size,
     d_core,
     hooks,
@@ -60,6 +61,21 @@ def _check_grid(n: int, q: int, eps: int, ell: int) -> EllParams:
     if ell not in GRID_ELLS:
         raise BoundExceededError(f"ell={ell} outside the supported set {GRID_ELLS}")
     return EllParams.compute(q, eps, ell)
+
+
+def grid_points(n_max: int) -> list[tuple[int, int, int, int]]:
+    """The grid points (n, q, eps, ell) with n <= n_max that EllParams accepts."""
+    points = []
+    for n in range(1, n_max + 1):
+        for q in GRID_PRIME_POWERS:
+            for eps in (1, -1):
+                for ell in GRID_ELLS:
+                    try:
+                        EllParams.compute(q, eps, ell)
+                    except ValueError:
+                        continue  # the parameter rules reject the point
+                    points.append((n, q, eps, ell))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +149,19 @@ def _unit_orbit_labels(r: int, step: int):
         yield FracLabel(len(orbit), r, a)
 
 
+def _degree_labels(q: int, eps: int, deg: int):
+    """Yield every label of exact degree deg: the unit orbits modulo each
+    r | (eps*q)**deg - 1 on which eps*q has order deg, r ascending."""
+    step = eps * q
+    for r in divisors(abs(step**deg - 1)):
+        if (1 if r == 1 else multiplicative_order(step % r, r)) == deg:
+            yield from _unit_orbit_labels(r, step)
+
+
 @lru_cache(maxsize=None)
 def _all_labels(q: int, eps: int, max_deg: int) -> tuple[FracLabel, ...]:
     """Every label of degree <= max_deg, sorted by (deg, den, num)."""
-    dens: set[int] = set()
-    for m in range(1, max_deg + 1):
-        dens.update(divisors(abs((eps * q) ** m - 1)))
-    found: list[FracLabel] = []
-    for r in sorted(dens):
-        found.extend(_unit_orbit_labels(r, eps * q))
-    return tuple(sorted(lab for lab in found if lab.deg <= max_deg))
+    return tuple(lab for m in range(1, max_deg + 1) for lab in _degree_labels(q, eps, m))
 
 
 def ellprime_labels(q: int, eps: int, ell: int, max_deg: int) -> tuple[FracLabel, ...]:
@@ -166,23 +185,13 @@ def ellprime_label_count(q: int, eps: int, ell: int, deg: int) -> int:
     return total // deg
 
 
+@lru_cache(maxsize=None)
 def _first_labels(q: int, eps: int, ell: int, deg: int, count: int) -> tuple[FracLabel, ...]:
     """The first ``count`` ell-prime labels of exact degree ``deg`` in
-    canonical order, without enumerating the full degree."""
-    if count == 0:
-        return ()
-    out: list[FracLabel] = []
-    for r in sorted(divisors(abs((eps * q) ** deg - 1))):
-        if r % ell == 0:
-            continue
-        order = 1 if r == 1 else multiplicative_order((eps * q) % r, r)
-        if order != deg:
-            continue
-        for lab in _unit_orbit_labels(r, eps * q):
-            out.append(lab)
-            if len(out) == count:
-                return tuple(out)
-    return tuple(out)
+    canonical order; stops early, and is cached since shapes repeat them."""
+    labels = _degree_labels(q, eps, deg)
+    ellprime = (lab for lab in labels if is_ellprime_label(lab, ell))
+    return tuple(itertools.islice(ellprime, count))
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +411,8 @@ def series_labels(n: int, q: int, eps: int, ell: int) -> list[SeriesCharLabel]:
 
 
 def is_defect_zero(block: BlockLabel) -> bool:
-    """Defect-zero test: every weight vanishes and ell does not divide q - eps."""
-    s = block.s
-    return all(w == 0 for w in block.weights) and (s.q - s.eps) % s.ell != 0
+    """Defect zero: all weights vanish and d != 1 (ell does not divide q - eps)."""
+    return all(w == 0 for w in block.weights) and block.s.params.d != 1
 
 
 def _positive_defect_case(block: BlockLabel) -> int | None:
@@ -412,9 +420,7 @@ def _positive_defect_case(block: BlockLabel) -> int | None:
     single elementary divisor with ell-power multiplicity and ell | (q - eps);
     None otherwise."""
     s = block.s
-    if (s.q - s.eps) % s.ell != 0:
-        return None
-    if len(s.assignments) != 1:
+    if s.params.d != 1 or len(s.assignments) != 1:
         return None
     _, m = s.assignments[0]
     if ellprime_part(m, s.ell) != 1:
@@ -459,16 +465,6 @@ def generic_weights(block: BlockLabel) -> tuple[GenericWeightLabel, ...]:
         return ()
     _, m = s.assignments[0]
     return tuple(GenericWeightLabel(s, h, None) for h in hooks(m))
-
-
-def _compositions(total: int):
-    """Compositions of ``total`` into positive parts, first part descending."""
-    if total == 0:
-        yield ()
-        return
-    for head in range(total, 0, -1):
-        for tail in _compositions(total - head):
-            yield (head,) + tail
 
 
 @dataclass(frozen=True)
@@ -524,7 +520,7 @@ def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
     m_basic = (scaled // d) // ell**alpha
     out: list[AFWeightLabel] = []
     for gamma_exp in range(delta, -1, -1):
-        for c_seq in _compositions(delta - gamma_exp):
+        for c_seq in compositions(delta - gamma_exp):
             for residue in range(d_gam):
                 for vec in itertools.product(range(ell - 1), repeat=len(c_seq)):
                     out.append(
@@ -545,7 +541,7 @@ def shape_count_identity(delta: int, ell: int) -> bool:
     total = sum(
         (ell - 1) ** len(c_seq)
         for gamma_exp in range(delta + 1)
-        for c_seq in _compositions(delta - gamma_exp)
+        for c_seq in compositions(delta - gamma_exp)
     )
     return total == ell**delta
 

@@ -1,4 +1,5 @@
-"""Partition combinatorics: hooks, beta-sets, cores, quotients, core towers.
+"""Partition combinatorics: hooks, beta-sets, cores, quotients, core towers,
+and the compositions (ordered partitions) of an integer.
 
 Conventions
 -----------
@@ -25,11 +26,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+from .arith import _check_ell
+
 __all__ = [
     "Partition",
     "as_partition",
     "partitions_of",
     "partition_count",
+    "compositions",
     "conjugate",
     "hook_lengths",
     "degree",
@@ -78,6 +82,19 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
         parts += [parts[-1]] * count + [rest] * (rest > 0)
         out.append(tuple(parts))
     return tuple(out)
+
+
+def compositions(total: int, parts: int | None = None):
+    """Compositions of ``total`` into positive parts, exactly ``parts`` of them
+    if given, in reverse lexicographic order: first part descending."""
+    if total <= 0 or (parts is not None and parts < 1):
+        if total == 0 and not parts:
+            yield ()
+        return
+    rest = None if parts is None else parts - 1
+    for head in range(total - (rest or 0), 0, -1):
+        for tail in compositions(total - head, rest):
+            yield (head,) + tail
 
 
 @lru_cache(maxsize=None)
@@ -301,6 +318,7 @@ def from_tower(tower: CoreTower) -> Partition:
 def defect(mu: Partition, ell: int) -> int:
     """``valuation(n!, ell) - valuation(degree(mu), ell)`` for ``|mu| = n``,
     computed combinatorially as ``(n - sum of tower row sizes) / (ell - 1)``."""
+    _check_ell(ell)
     tower = core_tower(mu, ell)
     num = sum(mu) - sum(tower.row_sizes())
     quo, rem = divmod(num, ell - 1)

@@ -30,12 +30,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .arith import factorial_valuation, valuation
+from .arith import _check_ell, factorial_valuation, valuation
 from .errors import BoundExceededError
 from .partitions import (
     CoreTower,
     EllExpansion,
     Partition,
+    compositions,
     cores_of_size,
     degree,
     ell_expansions,
@@ -121,8 +122,7 @@ def _check_kind(kind: str, n: int, e: int | None, ell: int) -> int:
     """Validate parameters; return the effective e (1 for `sym`)."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
+    _check_ell(ell)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if kind == "sym":
@@ -141,23 +141,13 @@ def _check_kind(kind: str, n: int, e: int | None, ell: int) -> int:
     return e
 
 
-def _positive_compositions(total: int, parts: int):
-    """Compositions of ``total`` into ``parts`` positive parts, first part
-    descending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total - parts + 1, 0, -1):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _tier_assignments(labels: list[Label], beta: int, ell: int):
     """All ways to pick distinct labels with positive multiplicities summing
     to ``beta`` and an ell-core of each multiplicity."""
     for u in range(1, min(beta, len(labels)) + 1):
+        shapes = tuple(compositions(beta, u))
         for subset in combinations(labels, u):
-            for mults in _positive_compositions(beta, u):
+            for mults in shapes:
                 for lams in product(*(cores_of_size(m, ell) for m in mults)):
                     yield tuple(zip(subset, mults)), lams
 

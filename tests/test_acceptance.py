@@ -9,7 +9,6 @@ import itertools
 import math
 
 from weightcomb.arith import factorial_valuation, valuation
-from weightcomb.cli import _grid_points
 from weightcomb.ffpoly import (
     CentralScalar,
     F_set,
@@ -30,6 +29,7 @@ from weightcomb.glblocks import (
     blocks,
     block_irr,
     generic_weights,
+    grid_points,
     principal_block,
     semisimple_labels,
     shape_count_identity,
@@ -108,7 +108,7 @@ def test_c02_weight_counting_corollary():
     """Every block on the grid has equally many generic and Alperin-style
     weights (equal emptiness), with count m = ell^delta in the positive
     defect case."""
-    points = _grid_points(GRID_MAX_N)
+    points = grid_points(GRID_MAX_N)
     ok = len(points) == 228  # the regime rules keep 228 points with n <= 6
     blocks_total = 0
     for n, q, eps, ell in points:
@@ -117,7 +117,7 @@ def test_c02_weight_counting_corollary():
         ok = ok and report.passed
     # independent cardinality check in the positive defect case, n <= 4
     case2 = 0
-    for n, q, eps, ell in _grid_points(4):
+    for n, q, eps, ell in grid_points(4):
         if (q - eps) % ell:
             continue
         for b in blocks(n, q, eps, ell):
@@ -325,7 +325,7 @@ def test_c10_equivariance():
                 good = good and moved == b
             ok = ok and good
 
-    for n, q, eps, ell in _grid_points(3):
+    for n, q, eps, ell in grid_points(3):
         all_blocks = blocks(n, q, eps, ell)
         for b in all_blocks:
             check_block(b, [0, 1, "frob"])
@@ -335,7 +335,7 @@ def test_c10_equivariance():
         for action in (k0, "frob"):
             image = {repr(act_on_block(action, b)) for b in all_blocks}
             ok = ok and image == {repr(b) for b in all_blocks}
-    for n, q, eps, ell in _grid_points(GRID_MAX_N):
+    for n, q, eps, ell in grid_points(GRID_MAX_N):
         if n <= 3:
             continue
         check_block(principal_block(n, q, eps, ell), [1, "frob"])

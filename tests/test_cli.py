@@ -90,6 +90,24 @@ def test_reports_match_benchmark_reference(argv):
     assert hashlib.sha256(run.stdout).hexdigest() == pinned["sha256"]
 
 
+# sha256 of two gl weights reports at delta = 4, the first delta where the
+# all-lengths order of the compositions of delta differs from the by-length one.
+DELTA_FOUR_REPORTS = {
+    ("16", "5", "2"): "9da544144e42fad1bcc771eb8c4fb577c2b0462330a423fada15e94986e6549a",
+    ("81", "4", "3"): "c694fcc7381e88411a7c38c30af6431619449a9d7a2ba13eaf7842261055c065",
+}
+
+
+@pytest.mark.parametrize("n, q, ell", DELTA_FOUR_REPORTS)
+def test_delta_four_weight_reports_keep_their_bytes(capsys, n, q, ell):
+    argv = ["gl", "weights", "--n", n, "--q", q, "--eps", "+", "--ell", ell]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["results"][0]["af"][-1]["af"]["c_seq"] == [1, 1, 1, 1]
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == DELTA_FOUR_REPORTS[(n, q, ell)]
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -147,6 +165,20 @@ def test_partition_parse_errors(capsys):
 def test_partition_core_rejects_d_one(capsys):
     code, _, err = run(capsys, "partition", "core", "2,1", "--d", "1")
     assert code == 2 and "d" in err
+
+
+def test_composite_ell_is_a_usage_error(capsys):
+    for argv in (
+        ["young", "verify", "--kind", "sym", "--n", "8", "--ell", "4"],
+        ["young", "verify", "--kind", "sym", "--n", "9", "--ell", "6"],
+        ["partition", "defect", "4,2", "--ell", "4"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "prime" in err, argv
+    # Cores and towers are defined for any d, ell >= 2.
+    assert run(capsys, "partition", "tower", "4,2", "--ell", "4")[0] == 0
+    assert run(capsys, "partition", "core", "4,2", "--d", "4")[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +281,13 @@ def test_gl_verify(capsys):
 def test_short_af_enumeration_is_a_reported_failure(capsys, monkeypatch):
     """An AF enumeration that comes up short is a mismatch in the counting
     report and exit 1 from the CLI, not an exception."""
-    compositions = glblocks._compositions
+    compositions = glblocks.compositions
 
     def drop_last(total):
         found = list(compositions(total))
         return found[:-1] if total else found
 
-    monkeypatch.setattr(glblocks, "_compositions", drop_last)
+    monkeypatch.setattr(glblocks, "compositions", drop_last)
     report = verify_counting(3, 4, 1, 3)
     assert report.passed is False
     assert [(m["generic"], m["af"]) for m in report.mismatches] == [(3, 1)]

@@ -28,6 +28,7 @@ from weightcomb.glblocks import (
     ellprime_label_count,
     ellprime_labels,
     generic_weights,
+    grid_points,
     is_defect_zero,
     is_ellprime_label,
     principal_block,
@@ -508,22 +509,12 @@ def test_verify_counting_frozen():
 
 
 def test_verify_counting_matches_brute_force():
-    points = [
-        (1, 2, 1, 3),
-        (2, 2, 1, 3),
-        (3, 2, 1, 3),
-        (4, 2, 1, 3),
-        (2, 4, 1, 3),
-        (3, 4, 1, 3),
-        (2, 2, -1, 3),
-        (3, 2, -1, 3),
-        (3, 3, -1, 5),
-        (2, 5, 1, 2),
-        (3, 3, -1, 2),
-        (4, 3, -1, 2),
-        (2, 5, 1, 3),
-        (3, 5, -1, 3),
-    ]
+    """The shape-class pass (representatives from _first_labels, class sizes
+    from the Moebius count) against a walk over every block (labels from
+    _all_labels): every n <= 4 grid point and every sixth n = 5 point."""
+    fifth = [p for p in grid_points(5) if p[0] == 5][::6]
+    points = grid_points(4) + fifth
+    assert (len(points), len(fifth)) == (152 + 7, 7)
     for n, q, eps, ell in points:
         r = verify_counting(n, q, eps, ell)
         brute = brute_force_report(n, q, eps, ell)

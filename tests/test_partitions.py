@@ -6,7 +6,7 @@ brute-force enumeration.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from weightcomb.partitions import (
     as_partition,
     beta_set,
     beta_to_partition,
+    compositions,
     conjugate,
     core_tower,
     d_core,
@@ -230,6 +231,27 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def test_compositions_match_cut_points():
+    """A composition of t >= 1 is a set of cut points in {1, .., t-1}; the
+    generator lists them in reverse lexicographic order, and with ``parts``
+    the ones of that length in the same order."""
+    assert list(compositions(0)) == list(compositions(0, 0)) == [()]
+    assert list(compositions(0, 1)) == []
+    for total in range(1, 11):
+        brute = sorted(
+            (
+                tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+                for k in range(total)
+                for cuts in combinations(range(1, total), k)
+            ),
+            reverse=True,
+        )
+        assert list(compositions(total)) == brute, total
+        for parts in range(total + 2):
+            expected = [c for c in brute if len(c) == parts]
+            assert list(compositions(total, parts)) == expected, (total, parts)
+
+
 def test_from_core_quotient_rejects_non_core():
     with pytest.raises(ValueError):
         from_core_quotient((3,), ((), (), ()), 3)  # (3,) has a 3-hook
@@ -354,6 +376,12 @@ def test_defect_frozen_values():
     assert defect((3, 1), 3) == 0
     assert defect((), 3) == 0
     assert defect((1, 1, 1), 3) == 1
+    # The valuation gap needs a prime: at ell = 4 the tower count gives 1
+    # for (4, 2), where nu_4(6!) - nu_4(9) = 2.
+    with pytest.raises(ValueError, match="prime"):
+        defect((4, 2), 4)
+    assert core_tower((4, 2), 4).total() == 6  # towers take any ell >= 2
+    assert d_core((4, 2), 4) == (1, 1)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])

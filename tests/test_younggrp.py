@@ -67,6 +67,11 @@ def test_young_subgroups_validation():
         triples("sym", 3, 2, 3)
     with pytest.raises(ValueError):
         triples("weird", 3, None, 3)
+    for n, ell in ((8, 4), (9, 6)):  # ell must be prime
+        with pytest.raises(ValueError, match="prime"):
+            triples("sym", n, None, ell)
+        with pytest.raises(ValueError, match="prime"):
+            verify_bijection("sym", n, None, ell)
 
 
 # ---------------------------------------------------------------------------
