@@ -5,8 +5,9 @@ Every command prints a single JSON report to stdout (keys sorted, stable
 ordering everywhere) and keeps diagnostics on stderr, so output is
 byte-identical across repeated runs.  ``_emit`` streams each report with the
 bytes of ``json.dumps(report, sort_keys=True, indent=2)``, after every check
-that can fail.  Exit codes: 0 pass, 1 verification failure, 2 usage or parse
-error, 3 enumeration bound exceeded, 141 stdout closed by the reader.
+that can fail.  Exit codes: 0 pass, 1 verification failure or broken invariant
+(one JSON record on stderr), 2 usage or parse error, 3 enumeration bound
+exceeded, 141 stdout closed by the reader.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ def _parse_eps(text: str) -> int:
 
 def _eps_str(eps: int) -> str:
     return "+" if eps == 1 else "-"
+
+
+def _point_params(args: argparse.Namespace) -> dict[str, Any]:
+    """The report params of a grid point given as --n --q --eps --ell."""
+    return {"n": args.n, "q": args.q, "eps": _eps_str(args.eps), "ell": args.ell}
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +223,7 @@ def _select_block(args: argparse.Namespace):
 
 
 def _cmd_gl(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    params = {
-        "action": args.action,
-        "n": args.n,
-        "q": args.q,
-        "eps": _eps_str(args.eps),
-        "ell": args.ell,
-    }
+    params = {"action": args.action, **_point_params(args)}
     if args.action == "blocks":
         out = blocks(args.n, args.q, args.eps, args.ell)
         _emit(_report(argv, params, (b.to_json_dict() for b in out), True))
@@ -257,13 +257,7 @@ def _cmd_gl(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def _cmd_hook(args: argparse.Namespace, argv: Sequence[str]) -> int:
     out = unipotent_hook_eGC(args.n, args.q, args.eps, args.ell)
-    params = {
-        "n": args.n,
-        "q": args.q,
-        "eps": _eps_str(args.eps),
-        "ell": args.ell,
-    }
-    _emit(_report(argv, params, [out.to_json_dict()], True))
+    _emit(_report(argv, _point_params(args), [out.to_json_dict()], True))
     return EXIT_PASS
 
 
@@ -582,6 +576,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UnsupportedRegimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        record = {"error": "invariant", "message": str(exc), "command": args_list}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

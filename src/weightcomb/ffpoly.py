@@ -11,6 +11,11 @@ sum(c_i * Q**i); monic polynomials of degree m occupy codes [Q^m, 2*Q^m).
 All enumeration respects this code order, which makes "lexicographically
 least" mean "least code" throughout.
 
+Arithmetic is defined digit-recursively (the ``_raw_*`` methods).  A field
+of order <= ``_TABLE_LIMIT`` builds lookup tables from it on first use: add
+and mul indexed ``a * order + b``, and exp/log of the least-code generator,
+so pow, inv and element_order are one lookup.  Larger fields compute raw.
+
 Labels: for a sign eps, the working field is F_q (eps = +1) or F_{q^2}
 (eps = -1).  The label set F consists of
 
@@ -59,6 +64,17 @@ SIZE_BUDGET = 2**20
 _TABLE_LIMIT = 512
 
 
+class _Computed:
+    """Stands in for a lookup table above ``_TABLE_LIMIT``: entry
+    ``a * order + b`` is ``op(a, b)``, computed on demand."""
+
+    def __init__(self, op, order: int):
+        self.op, self.order = op, order
+
+    def __getitem__(self, i: int) -> int:
+        return self.op(*divmod(i, self.order))
+
+
 class FiniteField:
     """A finite field with integer-coded elements.
 
@@ -74,82 +90,83 @@ class FiniteField:
         self.base = base
         self.modulus = modulus  # ascending monic coefficients over base
         self.degree = 1 if base is None else len(modulus) - 1
-        self._mul_table: list[int] | None = None
+        # lookup tables, built on first use (see _tables)
+        self._add_table = self._mul_table = self._exp = self._log = None
         self._generator: int | None = None
 
     def __repr__(self) -> str:
         return f"FiniteField({self.order})"
 
-    # -- digit codecs for extensions ------------------------------------
+    # -- the definition: digit-recursive arithmetic -----------------------
     def _digits(self, a: int) -> list[int]:
         b = self.base.order
         return [(a // b**i) % b for i in range(self.degree)]
 
-    def _undigits(self, digits) -> int:
-        b = self.base.order
-        return sum(d * b**i for i, d in enumerate(digits))
-
-    # -- arithmetic ------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
+    def _raw_add(self, a: int, b: int) -> int:
         if self.base is None:
             return (a + b) % self.p
         base = self.base
-        return self._undigits(
-            base.add(x, y) for x, y in zip(self._digits(a), self._digits(b))
-        )
+        pairs = zip(self._digits(a), self._digits(b))
+        return _encode((base.add(x, y) for x, y in pairs), base.order)
 
-    def neg(self, a: int) -> int:
+    def _raw_neg(self, a: int) -> int:
         if self.base is None:
             return -a % self.p
-        return self._undigits(self.base.neg(x) for x in self._digits(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        table = self._mul_table
-        if table is not None:
-            return table[a * self.order + b]
-        if self.order <= _TABLE_LIMIT:
-            self._build_table()
-            return self._mul_table[a * self.order + b]
-        return self._raw_mul(a, b)
+        return _encode((self.base.neg(x) for x in self._digits(a)), self.base.order)
 
     def _raw_mul(self, a: int, b: int) -> int:
         if self.base is None:
             return (a * b) % self.p
         base = self.base
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    if y:
-                        prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        mod = self.modulus
-        for k in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for t in range(self.degree):
-                    prod[k - self.degree + t] = base.sub(
-                        prod[k - self.degree + t], base.mul(c, mod[t])
-                    )
-        return self._undigits(prod[: self.degree])
+        prod = _pmul(base, self._digits(a), self._digits(b))
+        return _encode(_pmod(base, prod, self.modulus), base.order)
 
-    def _build_table(self) -> None:
-        n = self.order
-        table = [0] * (n * n)
-        for a in range(n):
-            for b in range(a, n):
-                v = self._raw_mul(a, b)
-                table[a * n + b] = v
-                table[b * n + a] = v
-        self._mul_table = table
+    # -- lookup tables -----------------------------------------------------
+    def _tables(self) -> tuple:
+        """The (add, mul) tables, indexed ``a * order + b`` and built on first
+        use; above ``_TABLE_LIMIT`` they compute by the definition."""
+        if self._add_table is None:
+            if self.order <= _TABLE_LIMIT:
+                self._build_tables()
+            else:
+                self._add_table = _Computed(self._raw_add, self.order)
+                self._mul_table = _Computed(self._raw_mul, self.order)
+        return self._add_table, self._mul_table
+
+    def _build_tables(self) -> None:
+        n, units = self.order, self.order - 1
+        # The exp table is the walk g, g^2, ... of the least-code g whose
+        # powers reach every unit; log inverts it.
+        for g in range(1, n):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._raw_mul(x, g)
+            if len(exp) == units:
+                break
+        log = [0] + sorted(range(units), key=exp.__getitem__)  # log[exp[k]] = k
+        self._generator, self._exp, self._log = g, exp, log
+        self._add_table = [self._raw_add(a, b) for a in range(n) for b in range(n)]
+        self._mul_table = [
+            exp[(log[a] + log[b]) % units] if a and b else 0 for a in range(n) for b in range(n)
+        ]
+
+    # -- arithmetic ------------------------------------------------------
+    def add(self, a: int, b: int) -> int:
+        return self._tables()[0][a * self.order + b]
+
+    def neg(self, a: int) -> int:
+        return self.mul(a, self.p - 1)  # -1 is the constant p - 1
+
+    def mul(self, a: int, b: int) -> int:
+        return self._tables()[1][a * self.order + b]
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
+        self._tables()
+        if self._exp is not None:
+            return self._exp[self._log[a] * k % (self.order - 1)] if a else 0**k
         result, square = 1, a
         while k:
             if k & 1:
@@ -165,26 +182,23 @@ class FiniteField:
 
     def generator(self) -> int:
         """The least element (by code) of multiplicative order ``order - 1``."""
+        self._tables()
         if self._generator is None:
             n = self.order - 1
-            primes = list(factorize(n)) if n > 1 else []
-            for g in range(1, self.order):
-                if all(self.pow(g, n // r) != 1 for r in primes):
-                    self._generator = g
-                    break
+            self._generator = next(g for g in range(1, n + 1) if self.element_order(g) == n)
         return self._generator
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         n = self.order - 1
+        self._tables()
+        if self._log is not None:
+            return n // gcd(self._log[a], n)
         order = n
-        for r, k in factorize(n).items() if n > 1 else ():
-            for _ in range(k):
-                if self.pow(a, order // r) == 1:
-                    order //= r
-                else:
-                    break
+        for r in factorize(n):
+            while order % r == 0 and self.pow(a, order // r) == 1:
+                order //= r
         return order
 
 
@@ -258,33 +272,36 @@ def _decode(code: int, Q: int) -> tuple[int, ...]:
 
 
 def _encode(coeffs, Q: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * Q + c
-    return out
+    return sum(c * Q**i for i, c in enumerate(coeffs))
 
 
 def _pmul(field: FiniteField, a, b):
     out = [0] * (len(a) + len(b) - 1)
-    mul, add = field.mul, field.add
+    add, mul = field._tables()
+    n = field.order
     for i, x in enumerate(a):
         if x:
+            row = x * n
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
+                    out[i + j] = add[out[i + j] * n + mul[row + y]]
     return tuple(out)
 
 
 def _pmod(field: FiniteField, a, m):
     """Remainder of a modulo the monic polynomial m, padded to deg(m) terms."""
+    add, mul = field._tables()
+    n = field.order
     r = list(a)
     deg_m = len(m) - 1
     for k in range(len(r) - 1, deg_m - 1, -1):
         c = r[k]
         if c:
             r[k] = 0
+            row = field.neg(c) * n
             for t in range(deg_m):
-                r[k - deg_m + t] = field.sub(r[k - deg_m + t], field.mul(c, m[t]))
+                i = k - deg_m + t
+                r[i] = add[r[i] * n + mul[row + m[t]]]
     r = r[:deg_m]
     return tuple(r) + (0,) * (deg_m - len(r))
 
@@ -330,9 +347,11 @@ def _irreducible_codes(field: FiniteField, deg: int) -> tuple[int, ...]:
     """Codes of all monic irreducibles of degree ``deg``, ascending.
 
     Sieve: every reducible monic polynomial of degree m has an irreducible
-    factor of degree <= m/2, so marking the products p*g for irreducible p
-    of degree k <= m/2 and arbitrary monic g of degree m-k leaves exactly
-    the irreducibles unmarked.
+    factor of degree <= m/2, so marking the monic multiples of each
+    irreducible p of degree k <= m/2 leaves exactly the irreducibles
+    unmarked.  Those multiples are x^m + x^k*h + low for every h of degree
+    < m-k, with low = -(x^m + x^k*h) mod p; each digit of low is affine in
+    the digits of h, so it is built for all h at once, in code order.
     """
     if deg < 1:
         raise ValueError(f"degree must be >= 1, got {deg}")
@@ -344,13 +363,22 @@ def _irreducible_codes(field: FiniteField, deg: int) -> tuple[int, ...]:
         )
     span = Q**deg
     reducible = bytearray(span)
+    add, mul = field._tables()
+    minus_one = field.neg(1)
     for k in range(1, deg // 2 + 1):
-        cofactor_span = Q ** (deg - k)
-        cofactors = [_decode(cofactor_span + r, Q) for r in range(cofactor_span)]
         for pcode in _irreducible_codes(field, k):
-            pdigits = _decode(pcode, Q)
-            for g in cofactors:
-                reducible[_encode(_pmul(field, pdigits, g), Q) - span] = 1
+            p = _decode(pcode, Q)
+            # -x^(k+j) mod p for j = 0 .. deg-k; the last is -x^deg mod p
+            v = [_pmod(field, (0,) * (k + j) + (minus_one,), p) for j in range(deg - k + 1)]
+            codes = range(0, span, Q**k)  # x^k*h for every h, in code order
+            for i in range(k):
+                low = [v[-1][i]]
+                for j in range(deg - k):
+                    terms = [mul[c * Q + v[j][i]] for c in range(Q)]
+                    low = [add[a * Q + t] for t in terms for a in low]
+                codes = [r + a * Q**i for r, a in zip(codes, low)]
+            for r in codes:
+                reducible[r] = 1
     return tuple(span + r for r in range(span) if not reducible[r])
 
 
@@ -377,7 +405,7 @@ def tilde(delta: Poly, ctx: FieldCtx) -> Poly:
         raise ValueError("tilde needs a nonzero constant term")
     q = ctx.q
     m = delta.degree
-    scale = F.inv(F.pow(a0, q))
+    scale = F.pow(a0, -q)
     return Poly(
         F, tuple(F.mul(scale, F.pow(delta.coeffs[m - k], q)) for k in range(m + 1))
     )
@@ -459,8 +487,8 @@ class CentralScalar:
             raise ValueError(
                 f"no subgroup of order {self.order} in a group of order {group}"
             )
-        root = working.pow(working.generator(), group // self.order)
-        return working.pow(root, self.exponent % self.order)
+        k = group // self.order * (self.exponent % self.order)
+        return working.pow(working.generator(), k)
 
     def element_order(self) -> int:
         return self.order // gcd(self.exponent % self.order, self.order)

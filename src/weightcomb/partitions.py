@@ -48,6 +48,7 @@ __all__ = [
     "CoreTower",
     "core_tower",
     "from_tower",
+    "nu",
     "defect",
     "EllExpansion",
     "ell_expansions",
@@ -315,16 +316,21 @@ def from_tower(tower: CoreTower) -> Partition:
     return level[0]
 
 
-def defect(mu: Partition, ell: int) -> int:
-    """``valuation(n!, ell) - valuation(degree(mu), ell)`` for ``|mu| = n``,
-    computed combinatorially as ``(n - sum of tower row sizes) / (ell - 1)``."""
-    _check_ell(ell)
-    tower = core_tower(mu, ell)
-    num = sum(mu) - sum(tower.row_sizes())
+def nu(n: int, coeffs, ell: int) -> int:
+    """``(n - sum(coeffs)) / (ell - 1)`` for ``n = sum(coeffs[i] * ell**i)``: the
+    ell-adic valuation of its Young subgroup; of a tower's row sizes, the defect."""
+    num = n - sum(coeffs)
     quo, rem = divmod(num, ell - 1)
     if rem:
         raise AssertionError(f"{num} is not divisible by ell - 1 = {ell - 1}")
     return quo
+
+
+def defect(mu: Partition, ell: int) -> int:
+    """``valuation(n!, ell) - valuation(degree(mu), ell)`` for ``|mu| = n``,
+    computed combinatorially as ``nu`` of the tower row sizes."""
+    _check_ell(ell)
+    return nu(sum(mu), core_tower(mu, ell).row_sizes(), ell)
 
 
 @dataclass(frozen=True)

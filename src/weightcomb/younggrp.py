@@ -41,6 +41,7 @@ from .partitions import (
     degree,
     ell_expansions,
     is_d_core,
+    nu,
     partitions_of,
 )
 from .symchars import wreath_char_degree
@@ -83,11 +84,7 @@ class YoungPair:
 
     def nu(self) -> int:
         """ell-adic valuation of |Y|: (n - sum of coefficients) / (ell - 1)."""
-        num = self.n - sum(self.expansion.coeffs)
-        quo, rem = divmod(num, self.ell - 1)
-        if rem:
-            raise AssertionError(f"{num} is not divisible by ell - 1 = {self.ell - 1}")
-        return quo
+        return nu(self.n, self.expansion.coeffs, self.ell)
 
 
 @dataclass(frozen=True)

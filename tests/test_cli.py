@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightcomb import glblocks
+from weightcomb import glblocks, partitions
 from weightcomb.cli import _emit, _report, main
 from weightcomb.glblocks import blocks, verify_counting
 from weightcomb.partitions import d_core, d_quotient
@@ -308,6 +309,30 @@ def test_gl_eps_forms(capsys):
         )
         assert code == 0
         assert report["params"]["eps"] == "-"
+
+
+def test_broken_invariant_is_one_json_record(capsys, monkeypatch):
+    """An AssertionError from a library invariant exits 1 with one JSON line
+    on stderr naming the command, and leaves stdout empty."""
+    cases = [
+        # verify_counting finds too few representative labels for a shape
+        (glblocks, "_first_labels", lambda *args: [],
+         ["gl", "verify", "--n", "2", "--q", "4", "--eps", "+", "--ell", "3"],
+         "not enough degree-2 labels for (1,)"),
+        # tower row sizes that are no ell-expansion of n break nu
+        (partitions, "core_tower", lambda mu, ell: SimpleNamespace(row_sizes=lambda: (2,)),
+         ["partition", "defect", "2,1", "--ell", "3"],
+         "1 is not divisible by ell - 1 = 2"),
+    ]
+    for module, name, broken, argv, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record == {"error": "invariant", "message": record["message"], "command": argv}
+        assert message in record["message"]
 
 
 def test_gl_exit_codes(capsys):

@@ -4,13 +4,15 @@ import math
 
 import pytest
 
-from weightcomb import BoundExceededError
+from weightcomb import BoundExceededError, ffpoly
 from weightcomb.arith import d_of, divisors
 from weightcomb.ffpoly import (
     CentralScalar,
     F_set,
     FieldCtx,
     Poly,
+    _irreducible_codes,
+    _pmul,
     _pow_x_mod,
     annotate,
     ctx_for,
@@ -59,20 +61,67 @@ def test_field_of_order_9():
     assert F.element_order(4) == 8
 
 
+# Every field of order <= 81 that q <= 9 reaches, with its least-code generator.
+GENERATORS = {2: 1, 3: 2, 4: 2, 5: 2, 7: 3, 8: 2, 9: 4, 16: 2, 25: 6, 27: 3, 49: 9, 64: 2, 81: 3}
+
+
+def _square_and_multiply(F, a, k):
+    """a^k for k >= 0 by square-and-multiply on the digit-recursive product."""
+    result, square = 1, a
+    while k:
+        if k & 1:
+            result = F._raw_mul(result, square)
+        square = F._raw_mul(square, square)
+        k >>= 1
+    return result
+
+
+def _check_against_definition(F):
+    """Every table answer equals the digit-recursive definition."""
+    n = F.order
+    for a in range(n):
+        assert F.neg(a) == F._raw_neg(a)
+        for b in range(n):
+            assert F.add(a, b) == F._raw_add(a, b)
+            assert F.mul(a, b) == F._raw_mul(a, b)
+    for a in range(n):
+        for k in (0, 1, 2, F.p, n - 2, n - 1, n, 2 * n + 1):
+            assert F.pow(a, k) == _square_and_multiply(F, a, k)
+    for a in range(1, n):
+        inv = _square_and_multiply(F, a, n - 2)
+        assert F.inv(a) == inv and F._raw_mul(a, inv) == 1
+        assert F.pow(a, -1) == inv and F.pow(a, -3) == _square_and_multiply(F, inv, 3)
+        order, x = 1, a
+        while x != 1:
+            order, x = order + 1, F._raw_mul(x, a)
+        assert F.element_order(a) == order
+    assert F.generator() == GENERATORS[n]
+    assert F.element_order(F.generator()) == n - 1
+
+
 def test_field_axioms_sample():
-    for q in (4, 8, 9, 25):
+    for q in GENERATORS:
         F = field_of_order(q)
-        elements = range(q)
-        for a in elements:
+        for a in range(q):
             assert F.add(a, 0) == a
             assert F.mul(a, 1) == a
             if a:
                 assert F.mul(a, F.inv(a)) == 1
-        # spot-check associativity and distributivity on a few triples
-        triples = [(1, 2, 3), (q - 1, 2, q - 2), (3, 3, q - 1)]
-        for a, b, c in triples:
-            assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
-            assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        _check_against_definition(F)
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+
+
+def test_fields_above_the_table_limit_use_the_definition(monkeypatch):
+    """With the limit at 0 a fresh copy of each field computes every answer by
+    the definition, and it agrees with the tables, the sieve included."""
+    monkeypatch.setattr(ffpoly, "_TABLE_LIMIT", 0)
+    for q, deg in ((9, 3), (16, 2), (27, 2)):
+        F = field_of_order(q)
+        raw = ffpoly.FiniteField(F.p, F.order, F.base, F.modulus)
+        _check_against_definition(raw)
+        assert raw._exp is None
+        assert _irreducible_codes(raw, deg) == _irreducible_codes(F, deg)
 
 
 def test_quadratic_extension_tower():
@@ -136,24 +185,25 @@ def test_necklace_formula(q):
 
 
 def test_irreducibles_really_are_irreducible():
-    """Cross-check degree 4 over F_3 by brute-force trial division."""
-    ctx = ctx_for(3)
-    F = ctx.base
-    quartics = {p.coeffs for p in irreducibles(ctx, "base", 4)}
-    from weightcomb.ffpoly import _pmul
+    """The sieve against trial products of monics: degree 4 over F_3, and
+    over the extension codes of F_4 at degree 3 and F_9 at degree 2."""
+    for q, which, deg in ((3, "base", 4), (2, "quadratic", 3), (3, "quadratic", 2)):
+        ctx = ctx_for(q)
+        F = ctx.base if which == "base" else ctx.quadratic
+        Q = F.order
 
-    products = set()
-    monics = lambda deg: [
-        tuple((c // 3**i) % 3 for i in range(deg)) + (1,)
-        for c in range(3**deg)
-    ]
-    for a in monics(1):
-        for b in monics(3):
-            products.add(_pmul(F, a, b))
-    for a in monics(2):
-        for b in monics(2):
-            products.add(_pmul(F, a, b))
-    assert quartics == {m for m in monics(4)} - products
+        def monics(m):
+            return [tuple((c // Q**i) % Q for i in range(m)) + (1,) for c in range(Q**m)]
+
+        products = {
+            _pmul(F, a, b)
+            for k in range(1, deg // 2 + 1)
+            for a in monics(k)
+            for b in monics(deg - k)
+        }
+        irreducible = {p.coeffs for p in irreducibles(ctx, which, deg)}
+        assert irreducible == set(monics(deg)) - products
+        assert len(irreducible) == necklace_count(Q, deg)
 
 
 def test_budget_error():

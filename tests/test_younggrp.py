@@ -8,10 +8,14 @@ from pathlib import Path
 import pytest
 
 from weightcomb import BoundExceededError
-from weightcomb.arith import factorial_valuation
+from weightcomb.arith import factorial_valuation, valuation
 from weightcomb.partitions import (
     EllExpansion,
+    core_tower,
+    defect,
+    degree,
     ell_expansions,
+    nu,
     partition_count,
     partitions_of,
 )
@@ -307,6 +311,21 @@ def test_typed_count_matches_oracle_at_regression_point():
     report = verify_bijection("typed", 4, 2, 3)
     assert report.passed
     assert report.count_irr == report.count_triples == 60
+
+
+def test_nu_agrees_with_partition_defect():
+    """The tower row sizes of a partition of n are an ell-expansion of n; the
+    Young pair on it has nu equal to the partition's defect, which is the
+    ell-adic valuation of n! / degree."""
+    for ell in (2, 3, 5):
+        for n in range(13):
+            for mu in partitions_of(n):
+                sizes = core_tower(mu, ell).row_sizes()
+                expansion = EllExpansion(ell, tuple(sizes))
+                assert expansion.total() == n
+                pair = YoungPair("sym", n, 1, ell, expansion, ())
+                expected = factorial_valuation(n, ell) - valuation(degree(mu), ell)
+                assert pair.nu() == defect(mu, ell) == nu(n, sizes, ell) == expected
 
 
 def test_nu_check_survives_optimize():
