@@ -115,29 +115,40 @@ def _report(
 
 def _emit(report: dict, stream: TextIO | None = None) -> None:
     """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline to
-    ``stream`` (default stdout) in chunks; a generator may stand for a list."""
+    ``stream`` (default stdout) in chunks; a generator may stand for a list.
+    A container writes its items of exact type ``str`` or ``int``, the bulk
+    of every report, inline; subclasses, bools, None and floats recurse."""
     out = sys.stdout if stream is None else stream
     pieces: list[str] = []
 
     def put(value: Any, indent: str) -> None:
-        if isinstance(value, str):
-            pieces.append(encode_basestring_ascii(value))
-        elif isinstance(value, int) and value is not True and value is not False:
-            pieces.append(int.__repr__(value))
-        elif value is None or isinstance(value, (bool, float)):
-            pieces.append(json.dumps(value))
-        elif isinstance(value, (dict, list, tuple, GeneratorType)):
+        if isinstance(value, (dict, list, tuple, GeneratorType)):
             is_dict = isinstance(value, dict)
             inner, sep, close = indent + "  ", *("{}" if is_dict else "[]")
             for item in sorted(value) if is_dict else value:
-                key = encode_basestring_ascii(item) + ": " if is_dict else ""
-                pieces.append(sep + inner + key)
-                put(value[item] if is_dict else item, inner)
+                head = sep + inner
+                if is_dict:
+                    head += encode_basestring_ascii(item) + ": "
+                    item = value[item]
+                kind = type(item)
+                if kind is str:
+                    pieces.append(head + encode_basestring_ascii(item))
+                elif kind is int:
+                    pieces.append(head + int.__repr__(item))
+                else:
+                    pieces.append(head)
+                    put(item, inner)
                 sep = ","
                 if len(pieces) > 8192:
                     out.write("".join(pieces))
                     pieces.clear()
             pieces.append((indent if sep == "," else sep) + close)
+        elif isinstance(value, str):
+            pieces.append(encode_basestring_ascii(value))
+        elif isinstance(value, int) and value is not True and value is not False:
+            pieces.append(int.__repr__(value))
+        elif value is None or isinstance(value, (bool, float)):
+            pieces.append(json.dumps(value))
         else:
             raise TypeError(f"{type(value).__name__} is not JSON serializable")
 

@@ -330,7 +330,7 @@ class Poly:
             raise ValueError("polynomials here have degree >= 1")
         if self.coeffs[-1] != 1:
             raise ValueError(f"must be monic, got leading {self.coeffs[-1]}")
-        if any(not 0 <= c < self.field.order for c in self.coeffs):
+        if min(self.coeffs) < 0 or max(self.coeffs) >= self.field.order:
             raise ValueError("coefficient code out of range")
 
     @property

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .arith import (
     EllParams,
@@ -201,40 +201,54 @@ def _first_labels(q: int, eps: int, ell: int, deg: int, count: int) -> tuple[Fra
 @dataclass(frozen=True)
 class SemisimpleLabel:
     """A semisimple ell'-class: distinct labels with multiplicities whose
-    weighted degrees sum to n, at a fixed grid point (q, eps, ell)."""
+    weighted degrees sum to n, at a fixed grid point (q, eps, ell).
+    ``d_gammas`` holds d_Gamma of each elementary divisor, aligned with the
+    assignments; it is derived at construction, since every block of s reads
+    it, and takes no part in repr, equality or hashing."""
 
     q: int
     eps: int
     ell: int
     n: int
     assignments: tuple[tuple[FracLabel, int], ...]
+    d_gammas: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        EllParams.compute(self.q, self.eps, self.ell)
-        labs = [lab for lab, _ in self.assignments]
-        if len(set(labs)) != len(labs):
-            raise ValueError("elementary divisors must be pairwise distinct")
-        if any(m < 1 for _, m in self.assignments):
+        # One pass gathers every rule; the raises keep the rules' precedence.
+        params = EllParams.compute(self.q, self.eps, self.ell)
+        step = self.eps * self.q
+        d_gamma = params.d_gamma
+        d_gammas = []
+        total = 0
+        increasing = multiplicities = True
+        not_orbit = prev = None
+        for lab, m in self.assignments:
+            if prev is not None and not prev < lab:
+                increasing = False
+            if m < 1:
+                multiplicities = False
+            if _is_orbit_label(lab.deg, lab.den, lab.num, step):
+                d_gammas.append(d_gamma(lab.deg))
+            elif not_orbit is None:
+                not_orbit = lab
+            total += lab.deg * m
+            prev = lab
+        if not increasing:
+            if len({lab for lab, _ in self.assignments}) < len(self.assignments):
+                raise ValueError("elementary divisors must be pairwise distinct")
+        if not multiplicities:
             raise ValueError("multiplicities must be >= 1")
-        if sorted(labs) != labs:
+        if not increasing:
             raise ValueError("assignments must be sorted by label")
-        for lab in labs:
-            if not _is_orbit_label(lab.deg, lab.den, lab.num, self.eps * self.q):
-                raise ValueError(f"{lab} of degree {lab.deg} is not an orbit label")
-        total = sum(lab.deg * m for lab, m in self.assignments)
+        if not_orbit is not None:
+            raise ValueError(f"{not_orbit} of degree {not_orbit.deg} is not an orbit label")
         if total != self.n:
             raise ValueError(f"degrees sum to {total}, expected n={self.n}")
+        object.__setattr__(self, "d_gammas", tuple(d_gammas))
 
     @property
     def params(self) -> EllParams:
         return EllParams.compute(self.q, self.eps, self.ell)
-
-    @cached_property
-    def d_gammas(self) -> tuple[int, ...]:
-        """d_Gamma of each elementary divisor, aligned with the assignments;
-        computed once per label, since every block of s reads it."""
-        d_gamma = self.params.d_gamma
-        return tuple(d_gamma(lab.deg) for lab, _ in self.assignments)
 
     def to_json_dict(self) -> dict:
         return {
@@ -356,15 +370,12 @@ class BlockLabel:
         )
 
     def to_json_dict(self) -> dict:
-        base = self.s.to_json_dict()
-        return {
-            **base,
-            "kappa": [
-                [str(lab), list(core)]
-                for (lab, _), core in zip(self.s.assignments, self.kappa)
-            ],
-            "weights": list(self.weights),
-        }
+        s = self.s
+        kappa, weights = [], []
+        for (lab, m), core, d in zip(s.assignments, self.kappa, s.d_gammas):
+            kappa.append([str(lab), list(core)])
+            weights.append((m - sum(core)) // d)
+        return {**s.to_json_dict(), "kappa": kappa, "weights": weights}
 
 
 def blocks(n: int, q: int, eps: int, ell: int) -> list[BlockLabel]:
@@ -512,7 +523,7 @@ def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
     lab, _ = s.assignments[0]
     ell = s.ell
     d = s.params.d
-    d_gam = s.params.d_gamma(lab.deg)
+    d_gam = s.d_gammas[0]
     scaled = d_gam * lab.deg
     if scaled % d:
         raise AssertionError(f"d={d} does not divide d_Gamma*deg={scaled}")
@@ -560,7 +571,9 @@ def _act_label(action, lab: FracLabel, params: EllParams) -> FracLabel:
         raise ValueError(f"action must be an integer or 'frob', got {action!r}")
     moved = _label(num, den, eps * q)
     if moved.deg != lab.deg:
-        raise AssertionError(f"action changed the degree of {lab}")
+        raise AssertionError(
+            f"action changed the degree of {lab} from {lab.deg} to {moved.deg}"
+        )
     return moved
 
 
@@ -698,7 +711,10 @@ def _representative_semisimple(
     for deg, mults in shape:
         reps = _first_labels(q, eps, ell, deg, len(mults))
         if len(reps) < len(mults):
-            raise AssertionError(f"not enough degree-{deg} labels for {mults}")
+            raise AssertionError(
+                f"not enough degree-{deg} labels for {mults}: "
+                f"need {len(mults)}, found {len(reps)}"
+            )
         pairs.extend(zip(reps, mults))
     return SemisimpleLabel(q, eps, ell, n, tuple(sorted(pairs)))
 

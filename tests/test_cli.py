@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightcomb import glblocks, partitions
+from weightcomb import cli, glblocks, partitions
 from weightcomb.cli import _emit, _report, main
 from weightcomb.glblocks import blocks, verify_counting
 from weightcomb.partitions import d_core, d_quotient
@@ -335,6 +337,45 @@ def test_broken_invariant_is_one_json_record(capsys, monkeypatch):
         assert message in record["message"]
 
 
+def invariant_record(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    record = json.loads(err)
+    assert record["error"] == "invariant" and record["command"] == list(argv)
+    return record["message"]
+
+
+def test_representative_invariant_names_needed_and_found(capsys, monkeypatch):
+    real = glblocks._first_labels
+
+    def one_short(q, eps, ell, deg, count):
+        labels = real(q, eps, ell, deg, count)
+        return labels[:-1] if count > 1 else labels
+
+    monkeypatch.setattr(glblocks, "_first_labels", one_short)
+    message = invariant_record(
+        capsys, "gl", "verify", "--n", "2", "--q", "9", "--eps", "+", "--ell", "5"
+    )
+    assert message == "not enough degree-1 labels for (1, 1): need 2, found 1"
+
+
+def test_action_invariant_names_both_degrees(capsys, monkeypatch):
+    real_label = glblocks._label
+
+    def raised_degree(num, den, step):
+        lab = real_label(num, den, step)
+        return glblocks.FracLabel(lab.deg + 1, lab.den, lab.num)
+
+    def frobenius_images(n, q, eps, ell):
+        found = blocks(n, q, eps, ell)
+        monkeypatch.setattr(glblocks, "_label", raised_degree)
+        return [glblocks.act_on_block("frob", b) for b in found]
+
+    monkeypatch.setattr(cli, "blocks", frobenius_images)
+    message = invariant_record(capsys, *GL_BLOCKS_4)
+    assert message == "action changed the degree of 0/1 from 1 to 2"
+
+
 def test_gl_exit_codes(capsys):
     code, _, err = run(
         capsys, "gl", "verify", "--n", "7", "--q", "2", "--eps", "+", "--ell", "3"
@@ -526,6 +567,43 @@ def test_writer_generators_and_unsupported_types():
     assert emitted([0.5, -2.0]) == json.dumps([0.5, -2.0], indent=2) + "\n"
     with pytest.raises(TypeError):
         emitted({"a": [1, {2, 3}]})
+
+
+class Colour(IntEnum):
+    RED = 1
+
+
+class Name(str):
+    pass
+
+
+Point = namedtuple("Point", "x y")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [True, False, 1, "a"],
+        {"t": True, "f": False, "i": 0},
+        [Colour.RED, {"c": Colour.RED}],
+        [Name("x"), {"n": Name("y")}],
+        OrderedDict([("b", 1), ("a", [2])]),
+        {"o": OrderedDict([("z", "1")])},
+        [Point(1, "p"), {"pt": Point(2, [3])}],
+        {"f": 0.5, "g": -2.0},
+        {"d": {}, "l": [], "t": (), "n": None},
+    ],
+)
+def test_writer_non_exact_types_match_json_dumps(value):
+    """Bools, subclasses of int, str, dict and tuple, floats and empty
+    containers leave the exact-type fast path and keep json.dumps's bytes."""
+    assert emitted(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, [1, {1, 2}]])
+def test_writer_rejects_a_set(value):
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        emitted(value)
 
 
 class WriteLog:

@@ -212,6 +212,73 @@ def test_semisimple_rejects_non_orbit_labels(q, lab):
         SemisimpleLabel(q, 1, 5, lab.deg, ((lab, 1),))
 
 
+HALF = FracLabel(1, 2, 1)
+QUARTER = FracLabel(1, 4, 1)
+NOT_ORBIT = FracLabel(2, 8, 3)  # 3/8 is fixed by 9, so its degree is 1
+
+
+@pytest.mark.parametrize(
+    "point, n, assignments, error, message",
+    [
+        ((9, 0, 5), 1, ((TRIVIAL, 1),), ValueError, "eps must be +1 or -1, got 0"),
+        ((5, -1, 2), 1, ((TRIVIAL, 1),), UnsupportedRegimeError,
+         "ell=2 requires 4 | (q - eps); got q=5, eps=-1"),
+        # a bad triple comes before a repeated divisor
+        ((5, -1, 2), 2, ((TRIVIAL, 1), (TRIVIAL, 1)), UnsupportedRegimeError,
+         "ell=2 requires 4 | (q - eps); got q=5, eps=-1"),
+        ((9, 1, 5), 2, ((TRIVIAL, 1), (TRIVIAL, 1)), ValueError,
+         "elementary divisors must be pairwise distinct"),
+        # a repeat comes before a zero multiplicity and the order
+        ((9, 1, 5), 1, ((TRIVIAL, 0), (TRIVIAL, 1)), ValueError,
+         "elementary divisors must be pairwise distinct"),
+        ((9, 1, 5), 3, ((HALF, 1), (TRIVIAL, 1), (HALF, 1)), ValueError,
+         "elementary divisors must be pairwise distinct"),
+        ((9, 1, 5), 0, ((TRIVIAL, 0),), ValueError, "multiplicities must be >= 1"),
+        # a zero multiplicity comes before the order
+        ((9, 1, 5), 1, ((HALF, 1), (TRIVIAL, 0)), ValueError,
+         "multiplicities must be >= 1"),
+        ((9, 1, 5), 2, ((HALF, 1), (TRIVIAL, 1)), ValueError,
+         "assignments must be sorted by label"),
+        # the order comes before an orbit label
+        ((9, 1, 5), 3, ((NOT_ORBIT, 1), (TRIVIAL, 1)), ValueError,
+         "assignments must be sorted by label"),
+        ((9, 1, 5), 3, ((TRIVIAL, 1), (NOT_ORBIT, 1)), ValueError,
+         "3/8 of degree 2 is not an orbit label"),
+        # the first of two non-orbit labels is named, before the degree sum
+        ((9, 1, 5), 7, ((TRIVIAL, 1), (NOT_ORBIT, 1), (FracLabel(3, 8, 5), 1)),
+         ValueError, "3/8 of degree 2 is not an orbit label"),
+        ((9, 1, 5), 2, ((TRIVIAL, 1),), ValueError, "degrees sum to 1, expected n=2"),
+        ((9, 1, 5), 4, ((TRIVIAL, 1), (HALF, 1), (QUARTER, 1)), ValueError,
+         "degrees sum to 3, expected n=4"),
+    ],
+)
+def test_semisimple_rule_precedence(point, n, assignments, error, message):
+    with pytest.raises(error) as caught:
+        SemisimpleLabel(*point, n, assignments)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_semisimple_d_gammas_are_fixed_at_construction():
+    for n, q, eps, ell in [(4, 9, 1, 5), (4, 7, -1, 3), (3, 8, 1, 7)]:
+        for s in semisimple_labels(n, q, eps, ell):
+            assert s.d_gammas == tuple(
+                s.params.d_gamma(lab.deg) for lab, _ in s.assignments
+            )
+
+
+def test_semisimple_repr_equality_and_hash_ignore_d_gammas():
+    first = SemisimpleLabel(9, 1, 5, 2, ((TRIVIAL, 1), (HALF, 1)))
+    second = SemisimpleLabel(9, 1, 5, 2, ((TRIVIAL, 1), (HALF, 1)))
+    assert repr(first) == (
+        "SemisimpleLabel(q=9, eps=1, ell=5, n=2, assignments=("
+        "(FracLabel(deg=1, den=1, num=0), 1), (FracLabel(deg=1, den=2, num=1), 1)))"
+    )
+    assert first == second and hash(first) == hash(second)
+    assert first in semisimple_labels(2, 9, 1, 5)
+    object.__setattr__(second, "d_gammas", (7, 7))
+    assert first == second and hash(first) == hash(second)
+
+
 def test_grid_bounds():
     with pytest.raises(BoundExceededError):
         semisimple_labels(7, 2, 1, 3)
