@@ -23,7 +23,7 @@ from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
 from .arith import ellprime_part
-from .errors import BoundExceededError, UnsupportedRegimeError
+from .errors import BoundExceededError
 from .glblocks import (
     GRID_MAX_N,
     GRID_PRIME_POWERS,
@@ -54,10 +54,6 @@ EXIT_BOUND = 3
 EXIT_PIPE = 141  # the shell's status for a writer killed by SIGPIPE
 
 
-class _UsageError(Exception):
-    """Invalid arguments or configuration detected after argument parsing."""
-
-
 # ---------------------------------------------------------------------------
 # Argument conversion.
 
@@ -70,18 +66,18 @@ def _parse_partition_arg(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(tok) for tok in stripped.split(","))
     except ValueError:
-        raise _UsageError(f"not a comma-separated integer list: {text!r}") from None
-    try:
-        return as_partition(parts)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError(f"not a comma-separated integer list: {text!r}") from None
+    return as_partition(parts)
+
+
+# The spellings of eps, for --eps and for a campaign item's "eps".
+_EPS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 
 def _parse_eps(text: str) -> int:
-    table = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
-    if text not in table:
+    if text not in _EPS:
         raise argparse.ArgumentTypeError(f"eps must be '+' or '-', got {text!r}")
-    return table[text]
+    return _EPS[text]
 
 
 def _eps_str(eps: int) -> str:
@@ -165,8 +161,6 @@ def _emit(report: dict, stream: TextIO | None = None) -> None:
 def _cmd_partition(args: argparse.Namespace, argv: Sequence[str]) -> int:
     action = args.action
     if action == "hooks":
-        if args.n < 0:
-            raise _UsageError(f"n must be >= 0, got {args.n}")
         params: dict[str, Any] = {"action": action, "n": args.n}
         results = [{"hooks": [list(p) for p in hooks(args.n)]}]
     else:
@@ -222,12 +216,12 @@ def _select_block(args: argparse.Namespace):
     try:
         index = int(args.block)
     except ValueError:
-        raise _UsageError(
+        raise ValueError(
             f"--block must be 'principal' or a block index, got {args.block!r}"
         ) from None
     all_blocks = blocks(args.n, args.q, args.eps, args.ell)
     if not 0 <= index < len(all_blocks):
-        raise _UsageError(
+        raise ValueError(
             f"block index {index} out of range (have {len(all_blocks)} blocks)"
         )
     return all_blocks[index]
@@ -300,16 +294,16 @@ def _load_campaign(path: str | None) -> dict:
         with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
-        raise _UsageError(f"cannot read config: {exc}") from None
+        raise ValueError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"config is not valid JSON: {exc}") from None
+        raise ValueError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict) or not isinstance(config.get("items"), list):
-        raise _UsageError("config must be an object with an 'items' list")
+        raise ValueError("config must be an object with an 'items' list")
     for pos, item in enumerate(config["items"]):
         if not isinstance(item, dict) or "op" not in item:
-            raise _UsageError(f"items[{pos}] must be an object with an 'op' field")
+            raise ValueError(f"items[{pos}] must be an object with an 'op' field")
         if item["op"] not in _ITEM_RUNNERS:
-            raise _UsageError(
+            raise ValueError(
                 f"items[{pos}]: unknown op {item['op']!r} "
                 f"(expected one of {sorted(_ITEM_RUNNERS)})"
             )
@@ -318,18 +312,18 @@ def _load_campaign(path: str | None) -> dict:
 
 def _int_field(item: dict, key: str, default: int | None = None) -> int:
     value = item.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise _UsageError(f"campaign item field {key!r} must be an integer")
+    if type(value) is not int:  # a JSON integer, not a bool
+        raise ValueError(f"campaign item field {key!r} must be an integer")
     return value
 
 
 def _eps_field(item: dict) -> int:
+    """A campaign item's eps: a spelling of --eps, or the JSON integer 1 or -1."""
     value = item.get("eps", "+")
-    if value in (1, -1):
-        return value
-    if value in ("+", "-"):
-        return 1 if value == "+" else -1
-    raise _UsageError(f"campaign item field 'eps' must be '+' or '-', got {value!r}")
+    eps = _EPS.get(str(value)) if type(value) in (str, int) else None
+    if eps is None:
+        raise ValueError(f"campaign item field 'eps' must be '+' or '-', got {value!r}")
+    return eps
 
 
 def _run_gl_verify(item: dict) -> dict:
@@ -373,8 +367,6 @@ def _run_gl_grid(item: dict) -> dict:
 
 def _run_young_verify(item: dict) -> dict:
     kind = item.get("kind")
-    if kind not in KINDS:
-        raise _UsageError(f"campaign item field 'kind' must be one of {KINDS}")
     n = _int_field(item, "n")
     ell = _int_field(item, "ell")
     e = item.get("e")
@@ -425,10 +417,8 @@ def _run_hook_scan(item: dict) -> dict:
 def _run_shape_identity(item: dict) -> dict:
     delta_max = _int_field(item, "delta_max", 6)
     ells = item.get("ells", [3, 5, 7])
-    if not isinstance(ells, list) or not all(
-        isinstance(ell, int) and not isinstance(ell, bool) for ell in ells
-    ):
-        raise _UsageError("campaign item field 'ells' must be a list of integers")
+    if not isinstance(ells, list) or not all(type(ell) is int for ell in ells):
+        raise ValueError("campaign item field 'ells' must be a list of integers")
     ok = all(
         shape_count_identity(delta, ell)
         for ell in ells
@@ -492,6 +482,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"weightcomb {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    point = argparse.ArgumentParser(add_help=False)  # the grid point (n, q, eps, ell)
+    point.add_argument("--n", type=int, required=True)
+    point.add_argument("--q", type=int, required=True)
+    point.add_argument("--eps", type=_parse_eps, required=True, metavar="+|-")
+    point.add_argument("--ell", type=int, required=True)
 
     part = sub.add_parser("partition", help="partition calculus queries")
     part_sub = part.add_subparsers(dest="action", required=True)
@@ -528,11 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("weights", "generic and Alperin-style weights of one block"),
         ("verify", "check the weight-count identity on every block"),
     ):
-        p = gl_sub.add_parser(action, help=help_text)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--eps", type=_parse_eps, required=True, metavar="+|-")
-        p.add_argument("--ell", type=int, required=True)
+        p = gl_sub.add_parser(action, help=help_text, parents=[point])
         if action == "weights":
             p.add_argument(
                 "--block",
@@ -542,12 +533,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_gl)
 
     hook = sub.add_parser(
-        "hook", help="classification of generalized-cuspidal unipotent characters"
+        "hook",
+        help="classification of generalized-cuspidal unipotent characters",
+        parents=[point],
     )
-    hook.add_argument("--n", type=int, required=True)
-    hook.add_argument("--q", type=int, required=True)
-    hook.add_argument("--eps", type=_parse_eps, required=True, metavar="+|-")
-    hook.add_argument("--ell", type=int, required=True)
     hook.set_defaults(handler=_cmd_hook)
 
     camp = sub.add_parser("campaign", help="run a verification campaign")
@@ -578,13 +567,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # The reader closed stdout: send the flush at exit to devnull instead.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (UnsupportedRegimeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

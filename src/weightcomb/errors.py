@@ -1,7 +1,7 @@
 """Shared exception types.
 
-Domain errors (bad mathematical input) are plain ValueError.  The two
-subclasses mark situations the command line maps to dedicated exit codes.
+Domain errors (bad mathematical input) are plain ValueError, exit 2 on the
+command line; of the two subclasses only BoundExceededError has its own (3).
 """
 
 

@@ -31,11 +31,11 @@ automorphism sigma acts by the p-power map on coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import PrimePower, _check_eps, d_of, factorize, valuation
+from .arith import PrimePower, _check_eps, d_of, ellprime_part, factorize, is_prime
 from .errors import BoundExceededError
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "F_set",
     "is_ellprime",
     "d_Gamma",
-    "annotate",
     "CentralScalar",
     "z_act",
     "frob_act",
@@ -204,8 +203,7 @@ class FiniteField:
 
 @lru_cache(maxsize=None)
 def prime_field(p: int) -> FiniteField:
-    pp = PrimePower.from_q(p)
-    if pp.f != 1:
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return FiniteField(p=p, order=p, base=None, modulus=None)
 
@@ -413,13 +411,11 @@ def tilde(delta: Poly, ctx: FieldCtx) -> Poly:
 
 @dataclass(frozen=True)
 class PolyLabel:
-    """An element of the label set F, with optional ell-dependent notes."""
+    """An element of the label set F."""
 
     gamma: Poly
     family: str  # "F0" | "F1" | "F2"
     deg: int
-    d_gamma: int | None = dc_field(default=None, compare=False)
-    ellprime: bool | None = dc_field(default=None, compare=False)
 
 
 def F_set(ctx: FieldCtx, eps: int, n: int) -> list[PolyLabel]:
@@ -449,8 +445,7 @@ def F_set(ctx: FieldCtx, eps: int, n: int) -> list[PolyLabel]:
 def is_ellprime(label: PolyLabel, ctx: FieldCtx, eps: int, ell: int) -> bool:
     """True iff every root of the label has order prime to ell: x^t = 1
     modulo gamma for t the ell-prime part of |(eps*q)^deg - 1|."""
-    N = abs((eps * ctx.q) ** label.deg - 1)
-    t = N // ell ** valuation(N, ell)
+    t = ellprime_part((eps * ctx.q) ** label.deg - 1, ell)
     F = label.gamma.field
     remainder = _pow_x_mod(F, t, label.gamma.coeffs)
     return remainder[0] == 1 and not any(remainder[1:])
@@ -459,17 +454,6 @@ def is_ellprime(label: PolyLabel, ctx: FieldCtx, eps: int, ell: int) -> bool:
 def d_Gamma(label: PolyLabel, eps: int, ell: int, q: int) -> int:
     """Multiplicative order of (eps*q)^deg modulo ell (modulo 4 if ell = 2)."""
     return d_of(q**label.deg, eps**label.deg, ell)
-
-
-def annotate(label: PolyLabel, ctx: FieldCtx, eps: int, ell: int) -> PolyLabel:
-    """The same label with d_gamma and ellprime filled in."""
-    return PolyLabel(
-        gamma=label.gamma,
-        family=label.family,
-        deg=label.deg,
-        d_gamma=d_Gamma(label, eps, ell, ctx.q),
-        ellprime=is_ellprime(label, ctx, eps, ell),
-    )
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,12 @@ from .arith import (
 from .errors import BoundExceededError, UnsupportedRegimeError
 from .partitions import (
     Partition,
+    as_partition,
     compositions,
     cores_of_size,
     d_core,
     hooks,
+    is_d_core,
     partitions_of,
 )
 
@@ -200,17 +202,22 @@ def _first_labels(q: int, eps: int, ell: int, deg: int, count: int) -> tuple[Fra
 
 @dataclass(frozen=True)
 class SemisimpleLabel:
-    """A semisimple ell'-class: distinct labels with multiplicities whose
+    """A semisimple class: distinct labels with multiplicities whose
     weighted degrees sum to n, at a fixed grid point (q, eps, ell).
-    ``d_gammas`` holds d_Gamma of each elementary divisor, aligned with the
-    assignments; it is derived at construction, since every block of s reads
-    it, and takes no part in repr, equality or hashing."""
+    :func:`semisimple_labels` yields ell'-classes only, but the actions may
+    leave that set (a central shift of ell-power order), so a label whose
+    roots have order divisible by ell is accepted; its blocks have no weights.
+    ``params`` is the validated (q, eps, ell) and ``d_gammas`` holds d_Gamma
+    of each elementary divisor, aligned with the assignments; both are
+    derived at construction, since every block of s reads them, and take no
+    part in repr, equality or hashing."""
 
     q: int
     eps: int
     ell: int
     n: int
     assignments: tuple[tuple[FracLabel, int], ...]
+    params: EllParams = field(init=False, repr=False, compare=False)
     d_gammas: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -244,11 +251,8 @@ class SemisimpleLabel:
             raise ValueError(f"{not_orbit} of degree {not_orbit.deg} is not an orbit label")
         if total != self.n:
             raise ValueError(f"degrees sum to {total}, expected n={self.n}")
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "d_gammas", tuple(d_gammas))
-
-    @property
-    def params(self) -> EllParams:
-        return EllParams.compute(self.q, self.eps, self.ell)
 
     def to_json_dict(self) -> dict:
         return {
@@ -335,8 +339,10 @@ def _core_choices(m: int, d: int) -> tuple[Partition, ...]:
 def _is_choice(core: Partition, m: int, d: int) -> bool:
     """Whether core is in _core_choices(m, d), decided without building the
     table (for d > m it holds every partition of m)."""
-    size = sum(core)
-    return size <= m and (m - size) % d == 0 and _core_of(core, d) == core
+    size = sum(as_partition(core))  # raises for a non-partition
+    if size > m or (m - size) % d:
+        return False
+    return is_d_core(core, d) if d > 1 else core == ()
 
 
 def _choices(s: SemisimpleLabel) -> list[tuple[Partition, ...]]:
@@ -409,7 +415,6 @@ def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
 
 def series_labels(n: int, q: int, eps: int, ell: int) -> list[SeriesCharLabel]:
     """All series character labels at the grid point."""
-    _check_grid(n, q, eps, ell)
     out: list[SeriesCharLabel] = []
     for s in semisimple_labels(n, q, eps, ell):
         per_gamma = [partitions_of(m) for _, m in s.assignments]
@@ -455,7 +460,7 @@ class GenericWeightLabel:
             if len(self.s.assignments) != 1:
                 raise ValueError("hook labels require a single elementary divisor")
             _, m = self.s.assignments[0]
-            if sum(self.hook) != m or any(p != 1 for p in self.hook[1:]):
+            if self.hook not in hooks(m):
                 raise ValueError(f"{self.hook} is not a hook partition of {m}")
 
     def to_json_dict(self) -> dict:

@@ -184,6 +184,11 @@ def _decode(b) -> Partition:
     return tuple(mu[: len(mu) - mu.count(0)])
 
 
+def _check_base(name: str, value: int) -> None:
+    if value < 2:
+        raise ValueError(f"{name} must be >= 2, got {value}")
+
+
 def _runners(mu: Partition, d: int) -> list[list[int]]:
     """Bead positions on each of the ``d`` runners, positions descending, for
     the least multiple of ``d`` beads that is ``>= len(mu)``."""
@@ -208,15 +213,13 @@ def _core_quotient(mu: Partition, d: int) -> tuple[Partition, tuple[Partition, .
 
 def d_core(mu: Partition, d: int) -> Partition:
     """The ``d``-core: push all abacus beads down on each runner."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_base("d", d)
     return _pushed_down([len(r) for r in _runners(mu, d)])
 
 
 def is_d_core(mu: Partition, d: int) -> bool:
     """Whether ``mu`` is a ``d``-core: every bead ``x >= d`` has a bead at ``x - d``."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_base("d", d)
     beads = set(beta_set(mu, len(mu)))
     return all(x - d in beads for x in beads if x >= d)
 
@@ -229,15 +232,13 @@ def cores_of_size(k: int, d: int) -> tuple[Partition, ...]:
 
 def d_quotient(mu: Partition, d: int) -> tuple[Partition, ...]:
     """The ``d``-quotient: runner ``j``'s bead positions, read as a beta-set."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_base("d", d)
     return _core_quotient(mu, d)[1]
 
 
 def from_core_quotient(core: Partition, quotient, d: int) -> Partition:
     """Inverse of ``(d_core, d_quotient)``; requires ``core`` to be a ``d``-core."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_base("d", d)
     quotient = tuple(quotient)
     if len(quotient) != d:
         raise ValueError(f"quotient must have exactly {d} components")
@@ -281,8 +282,7 @@ class CoreTower:
 
 def core_tower(mu: Partition, ell: int) -> CoreTower:
     """Iterated core/quotient decomposition of ``mu``."""
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
+    _check_base("ell", ell)
     empty_split = ((), ((),) * ell)
     rows: list[tuple[Partition, ...]] = []
     frontier = [mu]
@@ -296,8 +296,7 @@ def core_tower(mu: Partition, ell: int) -> CoreTower:
 def from_tower(tower: CoreTower) -> Partition:
     """Partition encoded by a core tower (inverse of :func:`core_tower`)."""
     ell = tower.ell
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
+    _check_base("ell", ell)
     for i, row in enumerate(tower.rows):
         if len(row) != ell**i:
             raise ValueError(f"row {i} must have {ell**i} slots, has {len(row)}")
@@ -349,8 +348,7 @@ def ell_expansions(n: int, ell: int) -> list[EllExpansion]:
     """All expansions of ``n`` in powers of ``ell`` with unbounded nonnegative
     coefficients, ordered with the plain expansion ``(n,)`` first (coefficient
     tuples in descending lexicographic order)."""
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
+    _check_base("ell", ell)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
 

@@ -138,6 +138,12 @@ def _check_kind(kind: str, n: int, e: int | None, ell: int) -> int:
     return e
 
 
+def _tier_major(entry) -> tuple[int, int, int]:
+    """Sort key of an entry led by a label (k, i, j): the tier-major (i, k, j)."""
+    k, i, j = entry[0]
+    return i, k, j
+
+
 def _tier_assignments(labels: list[Label], beta: int, ell: int):
     """All ways to pick distinct labels with positive multiplicities summing
     to ``beta`` and an ell-core of each multiplicity."""
@@ -174,7 +180,7 @@ def _tau_image(zeta, lam, e: int):
             (((k + e) % (2 * e), i, j), mult, lm)
             for ((k, i, j), mult), lm in zip(zeta, lam)
         ),
-        key=lambda item: (item[0][1], item[0][0], item[0][2]),
+        key=_tier_major,
     )
     new_zeta = tuple((label, mult) for label, mult, _ in moved)
     new_lam = tuple(lm for _, _, lm in moved)
@@ -249,7 +255,7 @@ def tower_to_triple(kind: str, towers: TowerTuple, ell: int) -> YoungTriple:
                     raise ValueError(f"entry {core} is not an {ell}-core")
                 entries.append(((k, i, j), sum(core), core))
                 beta[i] += sum(core)
-    entries.sort(key=lambda item: (item[0][1], item[0][0], item[0][2]))
+    entries.sort(key=_tier_major)
     zeta = tuple((label, mult) for label, mult, _ in entries)
     lam = tuple(core for _, _, core in entries)
 

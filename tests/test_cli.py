@@ -140,6 +140,8 @@ def test_partition_hooks(capsys):
     code, report = run_json(capsys, "partition", "hooks", "3")
     assert code == 0
     assert report["results"][0]["hooks"] == [[3], [2, 1], [1, 1, 1]]
+    code, out, err = run(capsys, "partition", "hooks", "-1")
+    assert (code, out, err) == (2, "", "error: n must be >= 0, got -1\n")
 
 
 def test_partition_core_quotient_match_library(capsys):
@@ -313,6 +315,37 @@ def test_gl_eps_forms(capsys):
         assert report["params"]["eps"] == "-"
 
 
+@pytest.mark.parametrize(
+    "value, eps",
+    [("+", 1), ("+1", 1), ("1", 1), ("-", -1), ("-1", -1), (1, 1), (-1, -1),
+     (True, None), (1.0, None), (None, None), (0, None), ("0", None)],
+)
+def test_eps_forms_of_flag_and_campaign_item(capsys, tmp_path, value, eps):
+    """--eps and a campaign item's "eps" read one table: the same strings
+    mean the same eps, the JSON integers 1 and -1 are accepted too, and any
+    other value is a usage error (exit 2, empty stdout, no traceback)."""
+    sign = {1: "+", -1: "-", None: None}[eps]
+    config = tmp_path / "eps.json"
+    config.write_text(json.dumps(
+        {"items": [{"op": "gl_verify", "n": 2, "q": 4, "eps": value, "ell": 3}]}
+    ))
+    code, out, err = run(capsys, "campaign", str(config))
+    if eps is None:
+        assert (code, out) == (2, ""), value
+        assert err == f"error: campaign item field 'eps' must be '+' or '-', got {value!r}\n"
+    else:
+        assert code == 0, value
+        assert json.loads(out)["results"][0]["eps"] == sign
+    if isinstance(value, str):
+        argv = ["gl", "verify", "--n", "2", "--q", "4", "--eps", value, "--ell", "3"]
+        code, out, err = run(capsys, *argv)
+        if eps is None:
+            assert (code, out) == (2, "") and "Traceback" not in err
+            assert err.splitlines()[-1].endswith(f"eps must be '+' or '-', got {value!r}")
+        else:
+            assert code == 0 and json.loads(out)["params"]["eps"] == sign
+
+
 def test_broken_invariant_is_one_json_record(capsys, monkeypatch):
     """An AssertionError from a library invariant exits 1 with one JSON line
     on stderr naming the command, and leaves stdout empty."""
@@ -449,6 +482,12 @@ def test_campaign_malformed_configs(capsys, tmp_path):
         assert err.strip(), text
     code, _, err = run(capsys, "campaign", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read" in err
+    # younggrp owns the kind rule; its message names the bad value.
+    config = tmp_path / "kind.json"
+    config.write_text('{"items": [{"op": "young_verify", "kind": "bogus", "n": 4, "ell": 2}]}')
+    code, out, err = run(capsys, "campaign", str(config))
+    assert (code, out) == (2, "")
+    assert err == "error: kind must be one of ('sym', 'wreath', 'typed'), got 'bogus'\n"
 
 
 def test_campaign_custom_items(capsys, tmp_path):

@@ -14,7 +14,6 @@ from weightcomb.ffpoly import (
     _irreducible_codes,
     _pmul,
     _pow_x_mod,
-    annotate,
     ctx_for,
     d_Gamma,
     extension_field,
@@ -384,15 +383,6 @@ def test_d_Gamma_examples():
     assert d_Gamma(two2, 1, 3, 2) == 1  # 4 = 1 mod 3
     with pytest.raises(ValueError):
         d_Gamma(deg1_label, 1, 2, 4)  # ell | q
-
-
-def test_annotate():
-    ctx = ctx_for(4)
-    lab = F_set(ctx, 1, 1)[0]
-    noted = annotate(lab, ctx, 1, 3)
-    assert noted == lab  # annotations do not affect identity
-    assert noted.d_gamma == d_of(4, 1, 3)
-    assert noted.ellprime is True
 
 
 # ---------------------------------------------------------------------------

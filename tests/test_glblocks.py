@@ -276,7 +276,10 @@ def test_semisimple_repr_equality_and_hash_ignore_d_gammas():
     assert first == second and hash(first) == hash(second)
     assert first in semisimple_labels(2, 9, 1, 5)
     object.__setattr__(second, "d_gammas", (7, 7))
+    object.__setattr__(second, "params", EllParams.compute(9, -1, 5))
     assert first == second and hash(first) == hash(second)
+    assert repr(second) == repr(first)
+    assert first.params is EllParams.compute(9, 1, 5)
 
 
 def test_grid_bounds():
@@ -358,6 +361,10 @@ def test_block_validation():
     with pytest.raises(ValueError):
         BlockLabel(s, ((2,),))  # (2) is not a 2-core
     assert BlockLabel(s, ((),)).weights == (1,)  # and this one is fine
+    s = SemisimpleLabel(2, 1, 7, 3, ((TRIVIAL, 3),))  # d_Gamma = 3
+    for kappa in ((1, 2), (0,), (3, 0)):  # not partitions
+        with pytest.raises(ValueError):
+            BlockLabel(s, (kappa,))
 
 
 def test_core_table_is_the_core_predicate():
@@ -533,6 +540,10 @@ def test_weight_label_validation():
     s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
     with pytest.raises(ValueError):
         GenericWeightLabel(s, (2, 2), None)  # not a hook
+    two = SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 2),))
+    assert GenericWeightLabel(two, (1, 1), None).hook == (1, 1)
+    with pytest.raises(ValueError):
+        GenericWeightLabel(two, (0, 1, 1), None)  # sums to 2, not a partition
     with pytest.raises(ValueError):
         GenericWeightLabel(s, None, None)
     with pytest.raises(ValueError):
@@ -751,6 +762,22 @@ def test_covered_blocks_cubic_census():
             assert is_defect_zero(b)
             counts.append(covered_blocks(b))
     assert sorted(counts) == [1] * 18 + [3, 3]
+
+
+def test_ell_singular_label_builds_and_has_no_weights():
+    """semisimple_labels yields ell'-labels only, but a central shift of
+    ell-power order leaves that set, so SemisimpleLabel accepts a divisor
+    whose roots have order divisible by ell; its block has no weights."""
+    shifted = act_on_semisimple(1, SemisimpleLabel(4, 1, 3, 1, ((TRIVIAL, 1),)))
+    assert shifted.assignments == ((FracLabel(1, 3, 1), 1),)  # 1/3 at ell = 3
+    lab = FracLabel(2, 5, 1)
+    s = SemisimpleLabel(9, 1, 5, 2, ((lab, 1),))
+    assert not is_ellprime_label(lab, 5)
+    assert s not in semisimple_labels(2, 9, 1, 5)
+    block = BlockLabel(s, ((),))
+    assert generic_weights(block) == () and af_weights(block) == ()
+    with pytest.raises(ValueError):
+        covered_blocks(block)
 
 
 def test_covered_blocks_requires_weight_case():
