@@ -27,6 +27,7 @@ from .errors import BoundExceededError
 from .glblocks import (
     GRID_MAX_N,
     GRID_PRIME_POWERS,
+    BlockLabel,
     af_weights,
     blocks,
     generic_weights,
@@ -109,15 +110,20 @@ def _report(
     }
 
 
+class _Fragment(str):
+    """JSON text rendered at the top-level indent, which ``_emit`` writes inline."""
+
+
 def _emit(report: dict, stream: TextIO | None = None) -> None:
     """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline to
-    ``stream`` (default stdout) in chunks; a generator may stand for a list.
-    A container writes its items of exact type ``str`` or ``int``, the bulk
-    of every report, inline; subclasses, bools, None and floats recurse."""
+    ``stream`` (default stdout) in chunks of about 64 KB; a generator may stand
+    for a list, and a ``_Fragment`` is written as the JSON text it holds."""
     out = sys.stdout if stream is None else stream
     pieces: list[str] = []
+    size = 0  # characters (bytes: the text is ASCII) since the last write
 
     def put(value: Any, indent: str) -> None:
+        nonlocal size
         if isinstance(value, (dict, list, tuple, GeneratorType)):
             is_dict = isinstance(value, dict)
             inner, sep, close = indent + "  ", *("{}" if is_dict else "[]")
@@ -131,27 +137,53 @@ def _emit(report: dict, stream: TextIO | None = None) -> None:
                     pieces.append(head + encode_basestring_ascii(item))
                 elif kind is int:
                     pieces.append(head + int.__repr__(item))
+                elif kind is _Fragment:
+                    pieces.append(head + item.replace("\n", inner))
                 else:
                     pieces.append(head)
                     put(item, inner)
                 sep = ","
-                if len(pieces) > 8192:
+                size += len(pieces[-1])
+                if size > 65536:
                     out.write("".join(pieces))
                     pieces.clear()
+                    size = 0
             pieces.append((indent if sep == "," else sep) + close)
-        elif isinstance(value, str):
-            pieces.append(encode_basestring_ascii(value))
-        elif isinstance(value, int) and value is not True and value is not False:
-            pieces.append(int.__repr__(value))
-        elif value is None or isinstance(value, (bool, float)):
+        else:  # a scalar the loop above did not inline; json.dumps rejects non-JSON types
             pieces.append(json.dumps(value))
-        else:
-            raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
     put(report, "\n")
     pieces.append("\n")
     out.write("".join(pieces))
     out.flush()
+
+
+def _block_texts(all_blocks: Iterable[BlockLabel]):
+    """Each block's ``json.dumps(b.to_json_dict(), sort_keys=True, indent=2)``
+    as a ``_Fragment``: the parts of s are built once per s (its blocks come in
+    a row), and each core's text and size once per run."""
+    cores: dict[tuple[int, ...], tuple[str, int]] = {}
+    s = None
+    for b in all_blocks:
+        if b.s is not s:
+            s = b.s
+            divisors, entries = [], []
+            for (lab, m), d in zip(s.assignments, s.d_gammas):
+                lab_open = f"\n    [\n      {encode_basestring_ascii(str(lab))},\n      "
+                divisors.append((lab_open, m, d))
+                entries.append(f"{lab_open}{m}\n    ]")
+            head = f'{{\n  "ell": {s.ell},\n  "eps": {s.eps},\n  "kappa": ['
+            tail = f'\n  ],\n  "n": {s.n},\n  "q": {s.q},\n  "s": [{",".join(entries)}'
+            tail += '\n  ],\n  "weights": ['
+        kappa, weights = [], []
+        for (lab_open, m, d), core in zip(divisors, b.kappa):
+            hit = cores.get(core)
+            if hit is None:
+                text = json.dumps(list(core), indent=2).replace("\n", "\n      ")
+                hit = cores[core] = (text + "\n    ]", sum(core))
+            kappa.append(lab_open + hit[0])
+            weights.append(f"\n    {(m - hit[1]) // d}")
+        yield _Fragment(f'{head}{",".join(kappa)}{tail}{",".join(weights)}\n  ]\n}}')
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +263,7 @@ def _cmd_gl(args: argparse.Namespace, argv: Sequence[str]) -> int:
     params = {"action": args.action, **_point_params(args)}
     if args.action == "blocks":
         out = blocks(args.n, args.q, args.eps, args.ell)
-        _emit(_report(argv, params, (b.to_json_dict() for b in out), True))
+        _emit(_report(argv, params, _block_texts(out), True))
         return EXIT_PASS
     if args.action == "weights":
         params["block"] = args.block

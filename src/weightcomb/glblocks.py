@@ -47,7 +47,7 @@ from .partitions import (
 )
 
 #: Enumeration bounds for the grid operations (semisimple_labels, blocks,
-#: series_labels, verify_counting).  Single-block operations are not bounded.
+#: verify_counting).  Single-block operations are not bounded.
 GRID_MAX_N = 6
 GRID_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 GRID_ELLS = (2, 3, 5, 7)
@@ -411,15 +411,6 @@ def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
             tuple(mu for mu in partitions_of(m) if _core_of(mu, d) == core)
         )
     return [SeriesCharLabel(s, combo) for combo in itertools.product(*per_gamma)]
-
-
-def series_labels(n: int, q: int, eps: int, ell: int) -> list[SeriesCharLabel]:
-    """All series character labels at the grid point."""
-    out: list[SeriesCharLabel] = []
-    for s in semisimple_labels(n, q, eps, ell):
-        per_gamma = [partitions_of(m) for _, m in s.assignments]
-        out.extend(SeriesCharLabel(s, combo) for combo in itertools.product(*per_gamma))
-    return out
 
 
 # ---------------------------------------------------------------------------

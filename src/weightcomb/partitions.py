@@ -59,10 +59,10 @@ Partition = tuple[int, ...]
 
 def as_partition(parts) -> Partition:
     """Validate and normalize a partition given as any iterable of ints."""
-    mu = tuple(int(x) for x in parts)
-    if any(x <= 0 for x in mu):
+    mu = tuple(map(int, parts))
+    if mu and min(mu) <= 0:
         raise ValueError(f"partition parts must be positive: {mu}")
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
+    if mu != tuple(sorted(mu, reverse=True)):
         raise ValueError(f"partition parts must be weakly decreasing: {mu}")
     return mu
 
@@ -218,16 +218,23 @@ def d_core(mu: Partition, d: int) -> Partition:
 
 
 def is_d_core(mu: Partition, d: int) -> bool:
-    """Whether ``mu`` is a ``d``-core: every bead ``x >= d`` has a bead at ``x - d``."""
+    """Whether the partition ``mu`` is a ``d``-core (``ValueError`` if it is none)."""
     _check_base("d", d)
-    beads = set(beta_set(mu, len(mu)))
-    return all(x - d in beads for x in beads if x >= d)
+    return _is_d_core(as_partition(mu), d)
+
+
+def _is_d_core(mu: Partition, d: int) -> bool:
+    """Every bead ``x >= d`` of the unchecked partition ``mu`` has one at ``x - d``."""
+    top = len(mu) - 1
+    beads = {part + top - i for i, part in enumerate(mu)}  # beta_set(mu, len(mu))
+    return {x - d for x in beads if x >= d} <= beads
 
 
 @lru_cache(maxsize=None)
 def cores_of_size(k: int, d: int) -> tuple[Partition, ...]:
     """The ``d``-cores of size ``k``, in the order of :func:`partitions_of`."""
-    return tuple(mu for mu in partitions_of(k) if is_d_core(mu, d))
+    _check_base("d", d)
+    return tuple(mu for mu in partitions_of(k) if _is_d_core(mu, d))
 
 
 def d_quotient(mu: Partition, d: int) -> tuple[Partition, ...]:

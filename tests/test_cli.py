@@ -77,6 +77,17 @@ PINNED_OPS = {
         "gl", "blocks", "--n", "3", "--q", "5", "--eps", "-", "--ell", "3"
     ],
     "young_sym_6_2": ["young", "verify", "--kind", "sym", "--n", "6", "--ell", "2"],
+    # The four full-size gl_blocks points, about 1.2 MB of JSON each.
+    "gl_blocks_4_9_plus_5": GL_BLOCKS_4,
+    "gl_blocks_4_7_minus_5": [
+        "gl", "blocks", "--n", "4", "--q", "7", "--eps", "-", "--ell", "5"
+    ],
+    "gl_blocks_5_5_plus_7": [
+        "gl", "blocks", "--n", "5", "--q", "5", "--eps", "+", "--ell", "7"
+    ],
+    "gl_blocks_4_8_plus_5": [
+        "gl", "blocks", "--n", "4", "--q", "8", "--eps", "+", "--ell", "5"
+    ],
 }
 
 
@@ -657,6 +668,36 @@ class WriteLog:
 
     def flush(self):
         pass
+
+
+def test_writer_fragments_at_depth():
+    """A fragment is written inline, re-indented to its depth, in a list and
+    as a dict value; chunks stay near 64 KB however large the fragments."""
+    value = {"e": [], "k": [1, {"m": "x", "n": []}]}
+    frag = cli._Fragment(json.dumps(value, sort_keys=True, indent=2))
+    nested = {"a": [2, {"b": [frag, "y"], "c": frag}], "d": frag}
+    expected = {"a": [2, {"b": [value, "y"], "c": value}], "d": value}
+    assert emitted(nested) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    log = WriteLog()
+    big = cli._Fragment(json.dumps(["z" * 10_000], indent=2))
+    _emit({"r": [[big] * 3] * 20}, log)
+    assert json.loads("".join(log.writes)) == {"r": [[["z" * 10_000]] * 3] * 20}
+    assert len(log.writes) > 1
+    assert max(map(len, log.writes)) <= 65536 + 2 * len(big)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [glblocks.grid_points(3), [(4, 9, 1, 5)], [(4, 7, -1, 5)]],
+    ids=["n<=3", "4_9_plus_5", "4_7_minus_5"],
+)
+def test_block_texts_match_to_json_dict(points):
+    """The rendered text of every block is its to_json_dict's json.dumps."""
+    for point in points:
+        all_blocks = blocks(*point)
+        assert list(cli._block_texts(all_blocks)) == [
+            json.dumps(b.to_json_dict(), sort_keys=True, indent=2) for b in all_blocks
+        ], point
 
 
 def test_gl_blocks_report_streams(monkeypatch):

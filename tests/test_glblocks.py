@@ -33,7 +33,6 @@ from weightcomb.glblocks import (
     is_ellprime_label,
     principal_block,
     semisimple_labels,
-    series_labels,
     shape_count_identity,
     unipotent_hook_eGC,
     verify_counting,
@@ -290,7 +289,7 @@ def test_grid_bounds():
     with pytest.raises(BoundExceededError):
         verify_counting(2, 4, 1, 11)
     with pytest.raises(UnsupportedRegimeError):
-        series_labels(2, 5, -1, 2)
+        semisimple_labels(2, 5, -1, 2)
     with pytest.raises(ValueError):
         semisimple_labels(2, 9, 1, 3)  # ell divides q
     with pytest.raises(ValueError):
@@ -416,7 +415,13 @@ def test_blocks_partition_series_labels():
         (4, 3, -1, 2),
         (5, 2, 1, 5),
     ]:
-        all_series = series_labels(n, q, eps, ell)
+        all_series = [
+            SeriesCharLabel(s, combo)
+            for s in semisimple_labels(n, q, eps, ell)
+            for combo in itertools.product(
+                *(partitions_of(m) for _, m in s.assignments)
+            )
+        ]
         expected = 0
         for s in semisimple_labels(n, q, eps, ell):
             expected_s = math.prod(partition_count(m) for _, m in s.assignments)

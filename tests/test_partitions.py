@@ -367,6 +367,22 @@ def test_kernel_matches_reference():
         is_d_core((1,), 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_d_core((1, 2), 3),
+        lambda: from_tower(CoreTower(3, (((1, 2),),))),
+        lambda: from_core_quotient((1, 2), ((), (), ()), 3),
+    ],
+    ids=["is_d_core", "from_tower", "from_core_quotient"],
+)
+def test_non_partition_core_is_rejected(call):
+    """(1, 2) is not a partition, though the bead test alone would call it a
+    3-core and the inverses would build (4, 2) from it."""
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Defect.
 
