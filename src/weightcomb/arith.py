@@ -7,13 +7,15 @@ Conventions
   (the group ``(Z/4)^x``).
 * A triple ``(q, eps, ell)`` is validated in one place, the cached
   :meth:`EllParams.compute`, which also owns ``d_Gamma``; see its docstring.
+* The package's value classes derive from :class:`_Value`, defined here
+  since every module that has one imports this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import attrgetter
 
 from .errors import UnsupportedRegimeError
 
@@ -143,13 +145,52 @@ def _check_ell(ell: int) -> None:
         raise ValueError(f"ell must be prime, got {ell}")
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class _Value:
+    """Base of the value classes: immutable, hashable ``__slots__`` objects,
+    equal only to an object of the same class with equal compared fields.
+    ``__init__`` sets the fields with :meth:`_fill`.  ``_args`` names the
+    constructor's arguments, for repr and pickle (default: ``__slots__``);
+    ``_compared`` the fields of equality and hashing (default: ``_args``)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._args = cls.__dict__.get("_args", cls.__slots__)
+        cls._key = attrgetter(*cls.__dict__.get("_compared", cls._args))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fill(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+
+class PrimePower(_Value):
     """A prime power ``q = p**f``."""
 
-    p: int
-    f: int
-    q: int
+    __slots__ = ("p", "f", "q")
+
+    def __init__(self, p: int, f: int, q: int):
+        self._fill(p, f, q)
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":
@@ -162,8 +203,7 @@ class PrimePower:
         return cls(p=p, f=f, q=q)
 
 
-@dataclass(frozen=True)
-class EllParams:
+class EllParams(_Value):
     """Validated parameter bundle ``(q, eps, ell)`` with derived orders.
 
     :meth:`compute` applies the base rules (``eps = +-1``, ``q`` a prime
@@ -173,11 +213,10 @@ class EllParams:
     modulo ``ell`` (modulo 4 when ``ell == 2``).
     """
 
-    q: int
-    eps: int
-    ell: int
-    p: int
-    d: int
+    __slots__ = ("q", "eps", "ell", "p", "d")
+
+    def __init__(self, q: int, eps: int, ell: int, p: int, d: int):
+        self._fill(q, eps, ell, p, d)
 
     @classmethod
     @lru_cache(maxsize=None)

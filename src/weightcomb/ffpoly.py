@@ -31,11 +31,10 @@ automorphism sigma acts by the p-power map on coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import PrimePower, _check_eps, d_of, ellprime_part, factorize, is_prime
+from .arith import PrimePower, _check_eps, _Value, d_of, ellprime_part, factorize, is_prime
 from .errors import BoundExceededError
 
 __all__ = [
@@ -230,13 +229,13 @@ def field_of_order(q: int) -> FiniteField:
     return extension_field(prime_field(pp.p), pp.f)
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class FieldCtx(_Value):
     """The pair of fields F_q and F_{q^2} used by the label calculus."""
 
-    p: int
-    f: int
-    q: int
+    __slots__ = ("p", "f", "q")
+
+    def __init__(self, p: int, f: int, q: int):
+        self._fill(p, f, q)
 
     @property
     def base(self) -> FiniteField:
@@ -316,20 +315,19 @@ def _pow_x_mod(field: FiniteField, t: int, m) -> tuple[int, ...]:
     return result
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Value):
     """A monic polynomial with ascending coefficient codes."""
 
-    field: FiniteField
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
+    def __init__(self, field: FiniteField, coeffs: tuple[int, ...]):
+        if len(coeffs) < 2:
             raise ValueError("polynomials here have degree >= 1")
-        if self.coeffs[-1] != 1:
-            raise ValueError(f"must be monic, got leading {self.coeffs[-1]}")
-        if min(self.coeffs) < 0 or max(self.coeffs) >= self.field.order:
+        if coeffs[-1] != 1:
+            raise ValueError(f"must be monic, got leading {coeffs[-1]}")
+        if min(coeffs) < 0 or max(coeffs) >= field.order:
             raise ValueError("coefficient code out of range")
+        self._fill(field, coeffs)
 
     @property
     def degree(self) -> int:
@@ -409,13 +407,13 @@ def tilde(delta: Poly, ctx: FieldCtx) -> Poly:
     )
 
 
-@dataclass(frozen=True)
-class PolyLabel:
-    """An element of the label set F."""
+class PolyLabel(_Value):
+    """An element of the label set F, of family "F0", "F1" or "F2"."""
 
-    gamma: Poly
-    family: str  # "F0" | "F1" | "F2"
-    deg: int
+    __slots__ = ("gamma", "family", "deg")
+
+    def __init__(self, gamma: Poly, family: str, deg: int):
+        self._fill(gamma, family, deg)
 
 
 def F_set(ctx: FieldCtx, eps: int, n: int) -> list[PolyLabel]:
@@ -456,14 +454,15 @@ def d_Gamma(label: PolyLabel, eps: int, ell: int, q: int) -> int:
     return d_of(q**label.deg, eps**label.deg, ell)
 
 
-@dataclass(frozen=True)
-class CentralScalar:
+class CentralScalar(_Value):
     """An element of the central group of order q - eps, as an exponent of
     the fixed generator (the least-code primitive element of the working
     field raised to (order of the field group) / (q - eps))."""
 
-    exponent: int
-    order: int
+    __slots__ = ("exponent", "order")
+
+    def __init__(self, exponent: int, order: int):
+        self._fill(exponent, order)
 
     def element(self, working: FiniteField) -> int:
         group = working.order - 1

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .arith import (
     EllParams,
+    _Value,
     divisors,
     ellprime_part,
     mobius,
@@ -84,22 +84,26 @@ def grid_points(n_max: int) -> list[tuple[int, int, int, int]]:
 # Root labels.
 
 
-@dataclass(frozen=True, order=True)
-class FracLabel:
+@total_ordering
+class FracLabel(_Value):
     """An elementary-divisor label: the multiply-by-(eps*q) orbit of a root
     of unity, stored by its smallest member num/den (reduced, in [0, 1))."""
 
-    deg: int
-    den: int
-    num: int
+    __slots__ = ("deg", "den", "num")
 
-    def __post_init__(self) -> None:
-        if self.den < 1 or not 0 <= self.num < self.den:
-            raise ValueError(f"fraction {self.num}/{self.den} is not in [0, 1)")
-        if math.gcd(self.num, self.den) != 1:
-            raise ValueError(f"fraction {self.num}/{self.den} is not reduced")
-        if self.deg < 1:
-            raise ValueError(f"degree must be >= 1, got {self.deg}")
+    def __init__(self, deg: int, den: int, num: int):
+        if den < 1 or not 0 <= num < den:
+            raise ValueError(f"fraction {num}/{den} is not in [0, 1)")
+        if math.gcd(num, den) != 1:
+            raise ValueError(f"fraction {num}/{den} is not reduced")
+        if deg < 1:
+            raise ValueError(f"degree must be >= 1, got {deg}")
+        self._fill(deg, den, num)
+
+    def __lt__(self, other):
+        if other.__class__ is FracLabel:
+            return (self.deg, self.den, self.num) < (other.deg, other.den, other.num)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -174,6 +178,7 @@ def ellprime_labels(q: int, eps: int, ell: int, max_deg: int) -> tuple[FracLabel
     )
 
 
+@lru_cache(maxsize=None)
 def ellprime_label_count(q: int, eps: int, ell: int, deg: int) -> int:
     """Number of degree-``deg`` labels with roots of order coprime to ell,
     by Moebius inversion over the fixed-point counts of (eps*q)-multiplication."""
@@ -200,8 +205,7 @@ def _first_labels(q: int, eps: int, ell: int, deg: int, count: int) -> tuple[Fra
 # Semisimple labels.
 
 
-@dataclass(frozen=True)
-class SemisimpleLabel:
+class SemisimpleLabel(_Value):
     """A semisimple class: distinct labels with multiplicities whose
     weighted degrees sum to n, at a fixed grid point (q, eps, ell).
     :func:`semisimple_labels` yields ell'-classes only, but the actions may
@@ -212,24 +216,19 @@ class SemisimpleLabel:
     derived at construction, since every block of s reads them, and take no
     part in repr, equality or hashing."""
 
-    q: int
-    eps: int
-    ell: int
-    n: int
-    assignments: tuple[tuple[FracLabel, int], ...]
-    params: EllParams = field(init=False, repr=False, compare=False)
-    d_gammas: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("q", "eps", "ell", "n", "assignments", "params", "d_gammas")
+    _args = __slots__[:5]
 
-    def __post_init__(self) -> None:
+    def __init__(self, q: int, eps: int, ell: int, n: int, assignments: tuple):
         # One pass gathers every rule; the raises keep the rules' precedence.
-        params = EllParams.compute(self.q, self.eps, self.ell)
-        step = self.eps * self.q
+        params = EllParams.compute(q, eps, ell)
+        step = eps * q
         d_gamma = params.d_gamma
         d_gammas = []
         total = 0
         increasing = multiplicities = True
         not_orbit = prev = None
-        for lab, m in self.assignments:
+        for lab, m in assignments:
             if prev is not None and not prev < lab:
                 increasing = False
             if m < 1:
@@ -241,7 +240,7 @@ class SemisimpleLabel:
             total += lab.deg * m
             prev = lab
         if not increasing:
-            if len({lab for lab, _ in self.assignments}) < len(self.assignments):
+            if len({lab for lab, _ in assignments}) < len(assignments):
                 raise ValueError("elementary divisors must be pairwise distinct")
         if not multiplicities:
             raise ValueError("multiplicities must be >= 1")
@@ -249,10 +248,9 @@ class SemisimpleLabel:
             raise ValueError("assignments must be sorted by label")
         if not_orbit is not None:
             raise ValueError(f"{not_orbit} of degree {not_orbit.deg} is not an orbit label")
-        if total != self.n:
-            raise ValueError(f"degrees sum to {total}, expected n={self.n}")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "d_gammas", tuple(d_gammas))
+        if total != n:
+            raise ValueError(f"degrees sum to {total}, expected n={n}")
+        self._fill(q, eps, ell, n, assignments, params, tuple(d_gammas))
 
     def to_json_dict(self) -> dict:
         return {
@@ -300,20 +298,19 @@ def _core_of(mu: Partition, d: int) -> Partition:
     return () if d == 1 else d_core(mu, d)
 
 
-@dataclass(frozen=True)
-class SeriesCharLabel:
+class SeriesCharLabel(_Value):
     """A series character label: a semisimple label together with one
     partition of each multiplicity (aligned with s.assignments)."""
 
-    s: SemisimpleLabel
-    mu: tuple[Partition, ...]
+    __slots__ = ("s", "mu")
 
-    def __post_init__(self) -> None:
-        if len(self.mu) != len(self.s.assignments):
+    def __init__(self, s: SemisimpleLabel, mu: tuple[Partition, ...]):
+        if len(mu) != len(s.assignments):
             raise ValueError("mu must align with the assignments of s")
-        for (lab, m), part in zip(self.s.assignments, self.mu):
+        for (lab, m), part in zip(s.assignments, mu):
             if sum(part) != m:
                 raise ValueError(f"|mu| = {sum(part)} differs from m = {m} at {lab}")
+        self._fill(s, mu)
 
     def to_json_dict(self) -> dict:
         return {
@@ -350,22 +347,21 @@ def _choices(s: SemisimpleLabel) -> list[tuple[Partition, ...]]:
     return [_core_choices(m, d) for (_, m), d in zip(s.assignments, s.d_gammas)]
 
 
-@dataclass(frozen=True)
-class BlockLabel:
+class BlockLabel(_Value):
     """A block label (s, kappa): per elementary divisor Gamma of s, a
     d_Gamma-core kappa_Gamma of a partition of m_Gamma (aligned with
     s.assignments), so one entry of the core table of s.  The weights are
     derived from the pair."""
 
-    s: SemisimpleLabel
-    kappa: tuple[Partition, ...]
+    __slots__ = ("s", "kappa")
 
-    def __post_init__(self) -> None:
-        if len(self.kappa) != len(self.s.assignments):
+    def __init__(self, s: SemisimpleLabel, kappa: tuple[Partition, ...]):
+        if len(kappa) != len(s.assignments):
             raise ValueError("kappa must align with the assignments of s")
-        for (lab, m), core, d in zip(self.s.assignments, self.kappa, self.s.d_gammas):
+        for (lab, m), core, d in zip(s.assignments, kappa, s.d_gammas):
             if not _is_choice(core, m, d):
                 raise ValueError(f"kappa at {lab} is not a core of a partition of {m}")
+        self._fill(s, kappa)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -435,24 +431,22 @@ def _positive_defect_case(block: BlockLabel) -> int | None:
     return valuation(m, s.ell)
 
 
-@dataclass(frozen=True)
-class GenericWeightLabel:
+class GenericWeightLabel(_Value):
     """A generic weight: a hook partition of the multiplicity (positive
     defect case) or the block's unique series character (defect zero)."""
 
-    s: SemisimpleLabel
-    hook: Partition | None
-    series: SeriesCharLabel | None
+    __slots__ = ("s", "hook", "series")
 
-    def __post_init__(self) -> None:
-        if (self.hook is None) == (self.series is None):
+    def __init__(self, s: SemisimpleLabel, hook: Partition | None, series: SeriesCharLabel | None):
+        if (hook is None) == (series is None):
             raise ValueError("exactly one of hook and series must be set")
-        if self.hook is not None:
-            if len(self.s.assignments) != 1:
+        if hook is not None:
+            if len(s.assignments) != 1:
                 raise ValueError("hook labels require a single elementary divisor")
-            _, m = self.s.assignments[0]
-            if self.hook not in hooks(m):
-                raise ValueError(f"{self.hook} is not a hook partition of {m}")
+            _, m = s.assignments[0]
+            if hook not in hooks(m):
+                raise ValueError(f"{hook} is not a hook partition of {m}")
+        self._fill(s, hook, series)
 
     def to_json_dict(self) -> dict:
         if self.hook is not None:
@@ -474,26 +468,26 @@ def generic_weights(block: BlockLabel) -> tuple[GenericWeightLabel, ...]:
     return tuple(GenericWeightLabel(s, h, None) for h in hooks(m))
 
 
-@dataclass(frozen=True)
-class AFWeightLabel:
+class AFWeightLabel(_Value):
     """A weight label built from a local-subgroup shape: gamma_exp copies of
     the extraspecial layer, a composition c_seq of wreath layers, and an
     index psi_index into the d_Gamma * (ell-1)**len(c_seq) defect-zero
-    characters of the local quotient."""
+    characters of the local quotient.  ``m_basic`` and ``alpha`` take no
+    part in equality or hashing."""
 
-    s: SemisimpleLabel
-    gamma_exp: int
-    c_seq: tuple[int, ...]
-    psi_index: tuple[int, tuple[int, ...]]
-    m_basic: int | None = field(default=None, compare=False)
-    alpha: int | None = field(default=None, compare=False)
+    __slots__ = ("s", "gamma_exp", "c_seq", "psi_index", "m_basic", "alpha")
+    _compared = __slots__[:4]
 
-    def __post_init__(self) -> None:
-        if self.gamma_exp < 0 or any(c < 1 for c in self.c_seq):
+    def __init__(
+        self, s: SemisimpleLabel, gamma_exp: int, c_seq: tuple[int, ...], psi_index: tuple,
+        m_basic: int | None = None, alpha: int | None = None,
+    ):
+        if gamma_exp < 0 or any(c < 1 for c in c_seq):
             raise ValueError("shape parts must be a nonnegative gamma and positive c's")
-        r, vec = self.psi_index
-        if r < 0 or len(vec) != len(self.c_seq):
+        r, vec = psi_index
+        if r < 0 or len(vec) != len(c_seq):
             raise ValueError("psi index must pair a residue with one value per c part")
+        self._fill(s, gamma_exp, c_seq, psi_index, m_basic, alpha)
 
     def to_json_dict(self) -> dict:
         return {
@@ -605,9 +599,12 @@ def act_on_weight(action, label):
     """Relabel a generic or AF weight label, keeping its combinatorial data."""
     if isinstance(label, GenericWeightLabel):
         series = None if label.series is None else act_on_series(action, label.series)
-        return replace(label, s=act_on_semisimple(action, label.s), series=series)
+        return GenericWeightLabel(act_on_semisimple(action, label.s), label.hook, series)
     if isinstance(label, AFWeightLabel):
-        return replace(label, s=act_on_semisimple(action, label.s))
+        return AFWeightLabel(
+            act_on_semisimple(action, label.s), label.gamma_exp, label.c_seq,
+            label.psi_index, label.m_basic, label.alpha,
+        )
     raise ValueError(f"not a weight label: {label!r}")
 
 
@@ -632,36 +629,27 @@ def covered_blocks(block: BlockLabel) -> int:
 # The counting report.
 
 
-@dataclass(frozen=True)
-class CountingReport:
+class CountingReport(_Value):
     """Aggregate result of comparing generic and AF weight counts blockwise."""
 
-    n: int
-    q: int
-    eps: int
-    ell: int
-    s_count: int
-    blocks_checked: int
-    nonempty_blocks: int
-    weights_total: int
-    af_total: int
-    passed: bool
-    mismatches: tuple[dict, ...] = ()
+    __slots__ = (
+        "n", "q", "eps", "ell", "s_count", "blocks_checked", "nonempty_blocks",
+        "weights_total", "af_total", "passed", "mismatches",
+    )
+
+    def __init__(
+        self, n: int, q: int, eps: int, ell: int, s_count: int, blocks_checked: int,
+        nonempty_blocks: int, weights_total: int, af_total: int, passed: bool,
+        mismatches: tuple[dict, ...] = (),
+    ):
+        self._fill(n, q, eps, ell, s_count, blocks_checked, nonempty_blocks, weights_total,
+                   af_total, passed, mismatches)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "eps": self.eps,
-            "ell": self.ell,
-            "s_count": self.s_count,
-            "blocks_checked": self.blocks_checked,
-            "nonempty_blocks": self.nonempty_blocks,
-            "weights_total": self.weights_total,
-            "af_total": self.af_total,
-            "pass": self.passed,
-            "mismatches": list(self.mismatches),
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["pass"] = out.pop("passed")
+        out["mismatches"] = list(self.mismatches)
+        return out
 
 
 def _shape_iter(degs: tuple[int, ...], counts: dict[int, int], n: int):
@@ -797,14 +785,15 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
 # Hook classification of generalized-cuspidal unipotent characters.
 
 
-@dataclass(frozen=True)
-class HookEGC:
+class HookEGC(_Value):
     """Outcome of the unipotent classification: mode 'hooks' lists the n
     hook partitions, mode 'all' lists every partition of n, mode 'none' is
     empty."""
 
-    mode: str
-    partitions: tuple[Partition, ...]
+    __slots__ = ("mode", "partitions")
+
+    def __init__(self, mode: str, partitions: tuple[Partition, ...]):
+        self._fill(mode, partitions)
 
     def to_json_dict(self) -> dict:
         return {"mode": self.mode, "partitions": [list(p) for p in self.partitions]}

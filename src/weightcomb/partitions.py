@@ -22,11 +22,10 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .arith import _check_ell
+from .arith import _check_ell, _Value
 
 __all__ = [
     "Partition",
@@ -268,15 +267,16 @@ def _from_core_quotient(core: Partition, quotient, d: int) -> Partition:
     return _decode(sorted(beta, reverse=True))
 
 
-@dataclass(frozen=True)
-class CoreTower:
+class CoreTower(_Value):
     """Rows of ``ell``-cores; row ``i`` has ``ell**i`` slots, and the children
     of slot ``j`` in row ``i`` are slots ``j*ell + r`` (``r = 0..ell-1``) in
     row ``i+1``.  Trailing all-empty rows are trimmed, so the empty partition
-    has no rows at all."""
+    has no rows at all.  :func:`from_tower` checks the rows, not this class."""
 
-    ell: int
-    rows: tuple[tuple[Partition, ...], ...]
+    __slots__ = ("ell", "rows")
+
+    def __init__(self, ell: int, rows: tuple[tuple[Partition, ...], ...]):
+        self._fill(ell, rows)
 
     def row_sizes(self) -> tuple[int, ...]:
         """Total number of cells appearing in each row."""
@@ -300,8 +300,8 @@ def core_tower(mu: Partition, ell: int) -> CoreTower:
     return CoreTower(ell=ell, rows=tuple(rows))
 
 
-def from_tower(tower: CoreTower) -> Partition:
-    """Partition encoded by a core tower (inverse of :func:`core_tower`)."""
+def _check_tower(tower: CoreTower) -> None:
+    """Row ``i`` of the tower must hold ``ell**i`` ``ell``-cores."""
     ell = tower.ell
     _check_base("ell", ell)
     for i, row in enumerate(tower.rows):
@@ -310,6 +310,12 @@ def from_tower(tower: CoreTower) -> Partition:
         for lam in row:
             if lam and not is_d_core(lam, ell):
                 raise ValueError(f"row {i} entry {lam} is not an {ell}-core")
+
+
+def from_tower(tower: CoreTower) -> Partition:
+    """Partition encoded by a core tower (inverse of :func:`core_tower`)."""
+    _check_tower(tower)
+    ell = tower.ell
     # Collapse bottom-up: the partitions of row i are rebuilt from their row-i
     # core and the ell children already collapsed from row i+1.
     level: list[Partition] = [()] * (ell ** len(tower.rows))
@@ -339,13 +345,14 @@ def defect(mu: Partition, ell: int) -> int:
     return nu(sum(mu), core_tower(mu, ell).row_sizes(), ell)
 
 
-@dataclass(frozen=True)
-class EllExpansion:
+class EllExpansion(_Value):
     """``n = sum(coeffs[i] * ell**i)`` with arbitrary nonnegative coefficients
     (no trailing zeros)."""
 
-    ell: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("ell", "coeffs")
+
+    def __init__(self, ell: int, coeffs: tuple[int, ...]):
+        self._fill(ell, coeffs)
 
     def total(self) -> int:
         return sum(c * self.ell**i for i, c in enumerate(self.coeffs))

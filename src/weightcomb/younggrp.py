@@ -27,20 +27,19 @@ counts and defect histograms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
 
-from .arith import _check_ell, factorial_valuation, valuation
+from .arith import _check_ell, _Value, factorial_valuation, valuation
 from .errors import BoundExceededError
 from .partitions import (
     CoreTower,
     EllExpansion,
     Partition,
+    _check_tower,
     compositions,
     cores_of_size,
     degree,
     ell_expansions,
-    is_d_core,
     nu,
     partitions_of,
 )
@@ -70,41 +69,39 @@ ORACLE_BOUNDS = {"sym": 30, "wreath": 14, "typed": 8}
 Label = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class YoungPair:
+class YoungPair(_Value):
     """An ell-Young subgroup (via its expansion) together with a canonical
-    choice zeta of distinct tier labels and multiplicities."""
+    choice zeta of distinct tier labels and multiplicities, sorted by (i, k, j)."""
 
-    kind: str
-    n: int
-    e: int
-    ell: int
-    expansion: EllExpansion
-    zeta: tuple[tuple[Label, int], ...]  # sorted by (i, k, j)
+    __slots__ = ("kind", "n", "e", "ell", "expansion", "zeta")
+
+    def __init__(self, kind: str, n: int, e: int, ell: int, expansion: EllExpansion, zeta: tuple):
+        self._fill(kind, n, e, ell, expansion, zeta)
 
     def nu(self) -> int:
         """ell-adic valuation of |Y|: (n - sum of coefficients) / (ell - 1)."""
         return nu(self.n, self.expansion.coeffs, self.ell)
 
 
-@dataclass(frozen=True)
-class YoungTriple:
-    pair: YoungPair
-    lam: tuple[Partition, ...]  # aligned with pair.zeta
-    split: int | None = None  # 0/1 on tau-symmetric TypeD classes
+class YoungTriple(_Value):
+    """A pair with ``lam`` aligned with ``pair.zeta``; ``split`` is 0 or 1 on
+    tau-symmetric TypeD classes."""
+
+    __slots__ = ("pair", "lam", "split")
+
+    def __init__(self, pair: YoungPair, lam: tuple[Partition, ...], split: int | None = None):
+        self._fill(pair, lam, split)
 
 
-@dataclass(frozen=True)
-class TowerTuple:
+class TowerTuple(_Value):
     """Core towers carrying the same data as a triple: one tower for S_n,
     e towers for C_e wr S_n, 2e towers (a canonical half-swap orbit
     representative) plus the split bit for G(2e,2,n)."""
 
-    kind: str
-    e: int
-    ell: int
-    towers: tuple[CoreTower, ...]
-    split: int | None = None
+    __slots__ = ("kind", "e", "ell", "towers", "split")
+
+    def __init__(self, kind: str, e: int, ell: int, towers: tuple, split: int | None = None):
+        self._fill(kind, e, ell, towers, split)
 
     def total(self) -> int:
         return sum(t.total() for t in self.towers)
@@ -245,16 +242,12 @@ def tower_to_triple(kind: str, towers: TowerTuple, ell: int) -> YoungTriple:
     for k, tower in enumerate(towers.towers):
         if tower.ell != ell:
             raise ValueError(f"tower {k} has ell={tower.ell}, expected {ell}")
+        _check_tower(tower)
         for i, row in enumerate(tower.rows):
-            if len(row) != ell**i:
-                raise ValueError(f"tower {k} row {i} must have {ell**i} slots")
             for j, core in enumerate(row):
-                if core == ():
-                    continue
-                if not is_d_core(core, ell):
-                    raise ValueError(f"entry {core} is not an {ell}-core")
-                entries.append(((k, i, j), sum(core), core))
-                beta[i] += sum(core)
+                if core:
+                    entries.append(((k, i, j), sum(core), core))
+                    beta[i] += sum(core)
     entries.sort(key=_tier_major)
     zeta = tuple((label, mult) for label, mult, _ in entries)
     lam = tuple(core for _, _, core in entries)
@@ -297,17 +290,18 @@ def _multipartitions(n: int, parts: int):
                 yield (head,) + tail
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    kind: str
-    n: int
-    e: int
-    ell: int
-    count_irr: int
-    count_triples: int
-    defect_histogram_irr: tuple[tuple[int, int], ...]
-    defect_histogram_triples: tuple[tuple[int, int], ...]
-    passed: bool
+class BijectionReport(_Value):
+    __slots__ = (
+        "kind", "n", "e", "ell", "count_irr", "count_triples",
+        "defect_histogram_irr", "defect_histogram_triples", "passed",
+    )
+
+    def __init__(
+        self, kind: str, n: int, e: int, ell: int, count_irr: int, count_triples: int,
+        defect_histogram_irr: tuple, defect_histogram_triples: tuple, passed: bool,
+    ):
+        self._fill(kind, n, e, ell, count_irr, count_triples, defect_histogram_irr,
+                   defect_histogram_triples, passed)
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -37,3 +40,22 @@ def test_benchmark_trace_targets_resolve():
         target = reduce(getattr, attr.split("."), module)
         assert callable(target), f"{mod_name}.{attr}"
         assert mode in ("span", "count"), f"{mod_name}.{attr}: {mode}"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every command pays the package import in a fresh process, and these
+    two modules (with ``ast``, ``dis`` and ``tokenize``) cost most of it."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import weightcomb.cli, weightcomb.ffpoly\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules).difference(before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

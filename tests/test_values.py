@@ -1,0 +1,154 @@
+"""Value semantics of the package's record classes: immutable, hashable,
+equal only to an object of the same class with equal compared fields,
+constructed by position or keyword with their defaults."""
+
+import copy
+import pickle
+
+import pytest
+
+from weightcomb.arith import EllParams, PrimePower
+from weightcomb.ffpoly import CentralScalar, FieldCtx, Poly, PolyLabel, ctx_for
+from weightcomb.glblocks import (
+    AFWeightLabel,
+    BlockLabel,
+    CountingReport,
+    FracLabel,
+    GenericWeightLabel,
+    HookEGC,
+    SemisimpleLabel,
+    SeriesCharLabel,
+)
+from weightcomb.partitions import CoreTower, EllExpansion
+from weightcomb.younggrp import (
+    BijectionReport,
+    TowerTuple,
+    YoungPair,
+    YoungTriple,
+)
+
+TRIVIAL = FracLabel(1, 1, 0)
+
+
+def _s(n=1):
+    return SemisimpleLabel(9, 1, 5, n, ((TRIVIAL, n),))
+
+
+def _poly():
+    return Poly(ctx_for(3).base, (1, 1))
+
+
+def _pair():
+    return YoungPair("sym", 3, 1, 2, EllExpansion(2, (1, 1)), (((0, 0, 0), 1), ((0, 1, 0), 1)))
+
+
+# Per value class: a builder returning a new object on each call, and one
+# of its fields.
+BUILDERS = {
+    "PrimePower": (lambda: PrimePower(3, 2, 9), "q"),
+    "EllParams": (lambda: EllParams(9, 1, 5, 3, 2), "d"),
+    "CoreTower": (lambda: CoreTower(2, (((1,),),)), "rows"),
+    "EllExpansion": (lambda: EllExpansion(2, (1, 1)), "coeffs"),
+    "YoungPair": (_pair, "zeta"),
+    "YoungTriple": (lambda: YoungTriple(_pair(), ((1,), (1,))), "split"),
+    "TowerTuple": (lambda: TowerTuple("sym", 1, 2, (CoreTower(2, (((1,),),)),)), "towers"),
+    "BijectionReport": (
+        lambda: BijectionReport("sym", 3, 1, 2, 3, 3, ((0, 3),), ((0, 3),), True), "passed"
+    ),
+    "FieldCtx": (lambda: FieldCtx(3, 1, 3), "q"),
+    "Poly": (_poly, "coeffs"),
+    "PolyLabel": (lambda: PolyLabel(_poly(), "F0", 1), "family"),
+    "CentralScalar": (lambda: CentralScalar(1, 2), "exponent"),
+    "FracLabel": (lambda: FracLabel(1, 2, 1), "num"),
+    "SemisimpleLabel": (_s, "assignments"),
+    "SeriesCharLabel": (lambda: SeriesCharLabel(_s(), ((1,),)), "mu"),
+    "BlockLabel": (lambda: BlockLabel(_s(), ((1,),)), "kappa"),
+    "GenericWeightLabel": (lambda: GenericWeightLabel(_s(), (1,), None), "hook"),
+    "AFWeightLabel": (lambda: AFWeightLabel(_s(), 0, (), (0, ())), "m_basic"),
+    "CountingReport": (lambda: CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True), "mismatches"),
+    "HookEGC": (lambda: HookEGC("hooks", ((2,), (1, 1))), "mode"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_equal_objects_hash_alike_and_copy(name):
+    build, _ = BUILDERS[name]
+    first, second = build(), build()
+    assert type(first).__name__ == name
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert copy.copy(first) == first
+    assert repr(first).startswith(name + "(") and repr(first) == repr(second)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_assignment_and_deletion_raise(name):
+    build, field = BUILDERS[name]
+    obj = build()
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, before)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+    assert getattr(obj, field) is before
+
+
+def test_pickle_round_trip():
+    for name in ("FracLabel", "SemisimpleLabel", "BlockLabel", "YoungTriple", "AFWeightLabel"):
+        obj = BUILDERS[name][0]()
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_equality_is_type_exact():
+    assert PrimePower(3, 1, 3) != FieldCtx(3, 1, 3)
+    assert FieldCtx(3, 1, 3) != PrimePower(3, 1, 3)
+    assert BlockLabel(_s(), ((1,),)) != SeriesCharLabel(_s(), ((1,),))
+    assert FracLabel(1, 2, 1) != (1, 2, 1)
+    assert len({PrimePower(3, 1, 3), FieldCtx(3, 1, 3)}) == 2
+
+
+def test_keyword_construction_and_defaults():
+    pair = _pair()
+    assert YoungTriple(pair=pair, lam=((1,), (1,))).split is None
+    assert YoungTriple(pair, ((1,), (1,)), 1).split == 1
+    tower = CoreTower(ell=2, rows=())
+    assert TowerTuple(kind="sym", e=1, ell=2, towers=(tower,)).split is None
+    report = CountingReport(
+        n=1, q=9, eps=1, ell=5, s_count=1, blocks_checked=1, nonempty_blocks=1,
+        weights_total=1, af_total=1, passed=True,
+    )
+    assert report.mismatches == ()
+    assert report == CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True, ())
+    weight = AFWeightLabel(s=_s(), gamma_exp=0, c_seq=(), psi_index=(0, ()))
+    assert weight.m_basic is None and weight.alpha is None
+    assert PrimePower(p=3, f=2, q=9) == PrimePower.from_q(9)
+    with pytest.raises(TypeError):
+        PrimePower(3, 2)
+    with pytest.raises(TypeError):
+        FracLabel(1, 2, num=1, den=2)
+
+
+def test_frac_label_ordering():
+    small, large = FracLabel(1, 2, 1), FracLabel(1, 3, 1)
+    assert small < large and small <= large and small <= FracLabel(1, 2, 1)
+    assert large > small and large >= small and large >= FracLabel(1, 3, 1)
+    assert not large < small and not small > large
+    assert sorted([FracLabel(2, 3, 1), large, small]) == [small, large, FracLabel(2, 3, 1)]
+    with pytest.raises(TypeError):
+        small < (1, 2, 1)
+    with pytest.raises(TypeError):
+        PrimePower(2, 1, 2) < PrimePower(3, 1, 3)
+
+
+def test_fields_outside_comparison_stay_outside():
+    plain = AFWeightLabel(_s(), 0, (), (0, ()))
+    tagged = AFWeightLabel(_s(), 0, (), (0, ()), m_basic=4, alpha=1)
+    assert plain == tagged and hash(plain) == hash(tagged)
+    assert "m_basic=4, alpha=1" in repr(tagged)
+    assert AFWeightLabel(_s(), 1, (), (0, ())) != plain
+    s = _s(2)
+    assert "params" not in repr(s) and "d_gammas" not in repr(s)

@@ -189,6 +189,25 @@ def test_tower_to_triple_validation():
         tower_to_triple("wreath", good, 3)  # kind mismatch
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((((),), ((1,),)), r"^row 1 must have 3 slots, has 1$"),
+        ((((3,),),), r"^row 0 entry \(3,\) is not an 3-core$"),
+    ],
+)
+def test_tower_rules_have_one_owner(rows, message):
+    """tower_to_triple reports a bad row or a non-core entry with from_tower's
+    own message."""
+    from weightcomb.partitions import CoreTower, from_tower
+
+    tower = CoreTower(ell=3, rows=rows)
+    with pytest.raises(ValueError, match=message):
+        from_tower(tower)
+    with pytest.raises(ValueError, match=message):
+        tower_to_triple("sym", TowerTuple(kind="sym", e=1, ell=3, towers=(tower,)), 3)
+
+
 def test_sym_triples_match_partition_towers():
     """The composite partition -> tower -> triple hits every triple once."""
     from weightcomb.partitions import core_tower
