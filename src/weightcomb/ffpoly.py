@@ -11,10 +11,12 @@ sum(c_i * Q**i); monic polynomials of degree m occupy codes [Q^m, 2*Q^m).
 All enumeration respects this code order, which makes "lexicographically
 least" mean "least code" throughout.
 
-Arithmetic is defined digit-recursively (the ``_raw_*`` methods).  A field
-of order <= ``_TABLE_LIMIT`` builds lookup tables from it on first use: add
-and mul indexed ``a * order + b``, and exp/log of the least-code generator,
-so pow, inv and element_order are one lookup.  Larger fields compute raw.
+Arithmetic is defined digit-recursively (the ``_raw_*`` methods).  Every
+field builds three tables from it at construction, from order raw products
+and order raw sums: exp and log of the least-code generator g, and the Zech
+logarithms zech[k] = log(1 + g^k).  Then mul is exp[log a + log b], add is
+exp[log a + zech[log b - log a]], and pow, inv and element_order are one
+lookup.  The tables hold O(order) entries, so no field exceeds SIZE_BUDGET.
 
 Labels: for a sign eps, the working field is F_q (eps = +1) or F_{q^2}
 (eps = -1).  The label set F consists of
@@ -34,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import PrimePower, _check_eps, _Value, d_of, ellprime_part, factorize, is_prime
+from .arith import PrimePower, _check_eps, _Value, d_of, ellprime_part, is_prime
 from .errors import BoundExceededError
 
 __all__ = [
@@ -59,18 +61,6 @@ __all__ = [
 ]
 
 SIZE_BUDGET = 2**20
-_TABLE_LIMIT = 512
-
-
-class _Computed:
-    """Stands in for a lookup table above ``_TABLE_LIMIT``: entry
-    ``a * order + b`` is ``op(a, b)``, computed on demand."""
-
-    def __init__(self, op, order: int):
-        self.op, self.order = op, order
-
-    def __getitem__(self, i: int) -> int:
-        return self.op(*divmod(i, self.order))
 
 
 class FiniteField:
@@ -83,14 +73,31 @@ class FiniteField:
     """
 
     def __init__(self, p: int, order: int, base: "FiniteField | None", modulus: tuple[int, ...] | None):
+        if order > SIZE_BUDGET:
+            raise BoundExceededError(
+                f"a field of order {order} exceeds the {SIZE_BUDGET} size budget"
+            )
         self.p = p
         self.order = order
         self.base = base
         self.modulus = modulus  # ascending monic coefficients over base
         self.degree = 1 if base is None else len(modulus) - 1
-        # lookup tables, built on first use (see _tables)
-        self._add_table = self._mul_table = self._exp = self._log = None
-        self._generator: int | None = None
+        units = order - 1
+        # The walk g, g^2, ... of the least-code g whose powers reach every
+        # unit; exp holds it twice so that a sum of two logs needs no %.
+        for g in range(1, order):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._raw_mul(x, g)
+            if len(exp) == units:
+                break
+        log = [None] * order
+        for k, x in enumerate(exp):
+            log[x] = k
+        self._exp, self._log = exp * 2, log
+        # Zech logarithms: g^zech[k] = 1 + g^k, None where 1 + g^k = 0.
+        self._zech = [log[self._raw_add(1, x)] for x in exp]
 
     def __repr__(self) -> str:
         return f"FiniteField({self.order})"
@@ -119,85 +126,41 @@ class FiniteField:
         prod = _pmul(base, self._digits(a), self._digits(b))
         return _encode(_pmod(base, prod, self.modulus), base.order)
 
-    # -- lookup tables -----------------------------------------------------
-    def _tables(self) -> tuple:
-        """The (add, mul) tables, indexed ``a * order + b`` and built on first
-        use; above ``_TABLE_LIMIT`` they compute by the definition."""
-        if self._add_table is None:
-            if self.order <= _TABLE_LIMIT:
-                self._build_tables()
-            else:
-                self._add_table = _Computed(self._raw_add, self.order)
-                self._mul_table = _Computed(self._raw_mul, self.order)
-        return self._add_table, self._mul_table
-
-    def _build_tables(self) -> None:
-        n, units = self.order, self.order - 1
-        # The exp table is the walk g, g^2, ... of the least-code g whose
-        # powers reach every unit; log inverts it.
-        for g in range(1, n):
-            exp, x = [1], g
-            while x != 1:
-                exp.append(x)
-                x = self._raw_mul(x, g)
-            if len(exp) == units:
-                break
-        log = [0] + sorted(range(units), key=exp.__getitem__)  # log[exp[k]] = k
-        self._generator, self._exp, self._log = g, exp, log
-        self._add_table = [self._raw_add(a, b) for a in range(n) for b in range(n)]
-        self._mul_table = [
-            exp[(log[a] + log[b]) % units] if a and b else 0 for a in range(n) for b in range(n)
-        ]
-
     # -- arithmetic ------------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        return self._tables()[0][a * self.order + b]
+        """a + b = g^la * (1 + g^(lb - la)); a negative index into zech
+        wraps, as (lb - la) % (order - 1) would."""
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         return self.mul(a, self.p - 1)  # -1 is the constant p - 1
 
     def mul(self, a: int, b: int) -> int:
-        return self._tables()[1][a * self.order + b]
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def pow(self, a: int, k: int) -> int:
+        if a:
+            return self._exp[self._log[a] * k % (self.order - 1)]
         if k < 0:
-            a, k = self.inv(a), -k
-        self._tables()
-        if self._exp is not None:
-            return self._exp[self._log[a] * k % (self.order - 1)] if a else 0**k
-        result, square = 1, a
-        while k:
-            if k & 1:
-                result = self.mul(result, square)
-            square = self.mul(square, square)
-            k >>= 1
-        return result
+            raise ZeroDivisionError("0 has no inverse")
+        return 0**k
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.pow(a, self.order - 2)
+        return self.pow(a, -1)
 
     def generator(self) -> int:
         """The least element (by code) of multiplicative order ``order - 1``."""
-        self._tables()
-        if self._generator is None:
-            n = self.order - 1
-            self._generator = next(g for g in range(1, n + 1) if self.element_order(g) == n)
-        return self._generator
+        return self._exp[1]
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         n = self.order - 1
-        self._tables()
-        if self._log is not None:
-            return n // gcd(self._log[a], n)
-        order = n
-        for r in factorize(n):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
+        return n // gcd(self._log[a], n)
 
 
 @lru_cache(maxsize=None)
@@ -274,31 +237,28 @@ def _encode(coeffs, Q: int) -> int:
 
 def _pmul(field: FiniteField, a, b):
     out = [0] * (len(a) + len(b) - 1)
-    add, mul = field._tables()
-    n = field.order
+    add, mul = field.add, field.mul
     for i, x in enumerate(a):
         if x:
-            row = x * n
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = add[out[i + j] * n + mul[row + y]]
+                    out[i + j] = add(out[i + j], mul(x, y))
     return tuple(out)
 
 
 def _pmod(field: FiniteField, a, m):
     """Remainder of a modulo the monic polynomial m, padded to deg(m) terms."""
-    add, mul = field._tables()
-    n = field.order
+    add, mul = field.add, field.mul
     r = list(a)
     deg_m = len(m) - 1
     for k in range(len(r) - 1, deg_m - 1, -1):
         c = r[k]
         if c:
             r[k] = 0
-            row = field.neg(c) * n
+            c = field.neg(c)
             for t in range(deg_m):
                 i = k - deg_m + t
-                r[i] = add[r[i] * n + mul[row + m[t]]]
+                r[i] = add(r[i], mul(c, m[t]))
     r = r[:deg_m]
     return tuple(r) + (0,) * (deg_m - len(r))
 
@@ -359,7 +319,7 @@ def _irreducible_codes(field: FiniteField, deg: int) -> tuple[int, ...]:
         )
     span = Q**deg
     reducible = bytearray(span)
-    add, mul = field._tables()
+    add, mul = field.add, field.mul
     minus_one = field.neg(1)
     for k in range(1, deg // 2 + 1):
         for pcode in _irreducible_codes(field, k):
@@ -370,8 +330,8 @@ def _irreducible_codes(field: FiniteField, deg: int) -> tuple[int, ...]:
             for i in range(k):
                 low = [v[-1][i]]
                 for j in range(deg - k):
-                    terms = [mul[c * Q + v[j][i]] for c in range(Q)]
-                    low = [add[a * Q + t] for t in terms for a in low]
+                    terms = [mul(c, v[j][i]) for c in range(Q)]
+                    low = [add(a, t) for t in terms for a in low]
                 codes = [r + a * Q**i for r, a in zip(codes, low)]
             for r in codes:
                 reducible[r] = 1
@@ -462,6 +422,8 @@ class CentralScalar(_Value):
     __slots__ = ("exponent", "order")
 
     def __init__(self, exponent: int, order: int):
+        if order < 1:
+            raise ValueError(f"the central group has order >= 1, got {order}")
         self._fill(exponent, order)
 
     def element(self, working: FiniteField) -> int:

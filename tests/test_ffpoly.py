@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-from weightcomb import BoundExceededError, ffpoly
+from weightcomb import BoundExceededError
 from weightcomb.arith import d_of, divisors
 from weightcomb.ffpoly import (
     CentralScalar,
     F_set,
     FieldCtx,
     Poly,
-    _irreducible_codes,
     _pmul,
     _pow_x_mod,
     ctx_for,
@@ -111,16 +110,44 @@ def test_field_axioms_sample():
         F.pow(0, -1)
 
 
-def test_fields_above_the_table_limit_use_the_definition(monkeypatch):
-    """With the limit at 0 a fresh copy of each field computes every answer by
-    the definition, and it agrees with the tables, the sieve included."""
-    monkeypatch.setattr(ffpoly, "_TABLE_LIMIT", 0)
-    for q, deg in ((9, 3), (16, 2), (27, 2)):
-        F = field_of_order(q)
-        raw = ffpoly.FiniteField(F.p, F.order, F.base, F.modulus)
-        _check_against_definition(raw)
-        assert raw._exp is None
-        assert _irreducible_codes(raw, deg) == _irreducible_codes(F, deg)
+def test_field_of_order_529_against_the_definition():
+    """F_529 = F_{23^2}, above the old 512-element table limit: a fixed
+    sample of answers against the digit-recursive definition, and the
+    unitary labels of degree <= 2, which took over a minute by it."""
+    ctx = ctx_for(23)
+    F = ctx.quadratic
+    n = F.order
+    sample = [0, 1, 2, 22, 23, 24, 100, 263, 264, 500, 527, 528]
+    for a in sample:
+        assert F.neg(a) == F._raw_neg(a)
+        for b in sample:
+            assert F.add(a, b) == F._raw_add(a, b)
+            assert F.mul(a, b) == F._raw_mul(a, b)
+    for a in sample[1:]:
+        walk = [1]  # a^0, a^1, ... until a^k = 1 again
+        while len(walk) == 1 or walk[-1] != 1:
+            walk.append(F._raw_mul(walk[-1], a))
+        order = len(walk) - 1
+        assert F.element_order(a) == order
+        for k in (0, 1, 2, 23, 263, n - 2, n - 1, 3 * n + 5, -1, -24):
+            assert F.pow(a, k) == walk[k % order]
+        assert F.inv(a) == walk[-2]
+
+    def raw_order(a):
+        order, x = 1, a
+        while x != 1:
+            order, x = order + 1, F._raw_mul(x, a)
+        return order
+
+    g = F.generator()
+    assert raw_order(g) == n - 1
+    assert all(raw_order(a) < n - 1 for a in range(1, g))
+    assert len(F_set(ctx, -1, 2)) == 276
+
+
+def test_fields_stay_within_the_size_budget():
+    with pytest.raises(BoundExceededError):
+        prime_field(1_048_583)  # the least prime above 2^20
 
 
 def test_quadratic_extension_tower():
@@ -387,6 +414,14 @@ def test_d_Gamma_examples():
 
 # ---------------------------------------------------------------------------
 # Actions.
+
+
+def test_central_scalar_needs_a_group_of_order_at_least_one():
+    F = field_of_order(4)
+    for order in (0, -3):
+        with pytest.raises(ValueError, match="order >= 1"):
+            CentralScalar(1, order).element(F)
+    assert CentralScalar(1, 1).element(F) == 1
 
 
 def test_z_act_linear_and_identity():
