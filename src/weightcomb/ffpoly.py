@@ -84,7 +84,8 @@ class FiniteField:
         self.degree = 1 if base is None else len(modulus) - 1
         units = order - 1
         # The walk g, g^2, ... of the least-code g whose powers reach every
-        # unit; exp holds it twice so that a sum of two logs needs no %.
+        # unit; exp holds it twice so that a sum of two logs needs no %, then
+        # zeros, which the stand-in log[0] = 2 * units points at.
         for g in range(1, order):
             exp, x = [1], g
             while x != 1:
@@ -92,11 +93,12 @@ class FiniteField:
                 x = self._raw_mul(x, g)
             if len(exp) == units:
                 break
-        log = [None] * order
+        log = [2 * units] * order
         for k, x in enumerate(exp):
             log[x] = k
-        self._exp, self._log = exp * 2, log
-        # Zech logarithms: g^zech[k] = 1 + g^k, None where 1 + g^k = 0.
+        self._exp, self._log = exp * 2 + [0] * units, log
+        # Zech logarithms: g^zech[k] = 1 + g^k, so exp[l + zech[k]] is
+        # g^l * (1 + g^k) for every log l, 0 where 1 + g^k = 0.
         self._zech = [log[self._raw_add(1, x)] for x in exp]
 
     def __repr__(self) -> str:
@@ -133,8 +135,7 @@ class FiniteField:
         if not a or not b:
             return a or b
         la = self._log[a]
-        z = self._zech[self._log[b] - la]
-        return 0 if z is None else self._exp[la + z]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a: int) -> int:
         return self.mul(a, self.p - 1)  # -1 is the constant p - 1
@@ -319,7 +320,7 @@ def _irreducible_codes(field: FiniteField, deg: int) -> tuple[int, ...]:
         )
     span = Q**deg
     reducible = bytearray(span)
-    add, mul = field.add, field.mul
+    mul, exp, log, zech = field.mul, field._exp, field._log, field._zech
     minus_one = field.neg(1)
     for k in range(1, deg // 2 + 1):
         for pcode in _irreducible_codes(field, k):
@@ -330,9 +331,17 @@ def _irreducible_codes(field: FiniteField, deg: int) -> tuple[int, ...]:
             for i in range(k):
                 low = [v[-1][i]]
                 for j in range(deg - k):
-                    terms = [mul(c, v[j][i]) for c in range(Q)]
-                    low = [add(a, t) for t in terms for a in low]
-                codes = [r + a * Q**i for r, a in zip(codes, low)]
+                    # a + t = g^lt * (1 + g^(la - lt)) for units a and t,
+                    # added in the log domain: one zech lookup per entry.
+                    terms = [(t, log[t]) for t in [mul(c, v[j][i]) for c in range(Q)]]
+                    pairs = [(a, log[a]) for a in low]
+                    low = [
+                        exp[lt + zech[la - lt]] if a and t else a or t
+                        for t, lt in terms
+                        for a, la in pairs
+                    ]
+                step = Q**i
+                codes = [r + a * step for r, a in zip(codes, low)]
             for r in codes:
                 reducible[r] = 1
     return tuple(span + r for r in range(span) if not reducible[r])

@@ -37,10 +37,10 @@ from .arith import (
 from .errors import BoundExceededError, UnsupportedRegimeError
 from .partitions import (
     Partition,
+    _core_quotient,
     as_partition,
     compositions,
     cores_of_size,
-    d_core,
     hooks,
     is_d_core,
     partitions_of,
@@ -295,7 +295,7 @@ def semisimple_labels(n: int, q: int, eps: int, ell: int) -> list[SemisimpleLabe
 
 def _core_of(mu: Partition, d: int) -> Partition:
     """d-core extended to d = 1 (where every hook is removable)."""
-    return () if d == 1 else d_core(mu, d)
+    return () if d == 1 else _core_quotient(mu, d)[0]
 
 
 class SeriesCharLabel(_Value):

@@ -18,6 +18,13 @@ Conventions
   bead at ``x - d`` (a missing one marks a removable ``d``-hook), so the
   core test never rebuilds a partition.  :func:`core_tower` reads the core
   and the quotient of each slot off one abacus pass.
+* The split ``mu -> (core, quotient)`` and its inverse each sit behind an
+  ``lru_cache`` bounded at ``_SPLIT_CACHE_SIZE`` entries, so a sub-partition
+  that recurs across towers is split once per process.
+* The public core, quotient and tower functions run :func:`as_partition` on
+  every partition argument: a non-partition raises ``ValueError`` and a list
+  is taken as its tuple.  Private helpers take checked tuples; callers that
+  walk :func:`partitions_of` use them directly.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ __all__ = [
 ]
 
 Partition = tuple[int, ...]
+_SPLIT_CACHE_SIZE = 4096  # entries in each of the two core/quotient split caches
 
 
 def as_partition(parts) -> Partition:
@@ -192,28 +200,28 @@ def _runners(mu: Partition, d: int) -> list[list[int]]:
     """Bead positions on each of the ``d`` runners, positions descending, for
     the least multiple of ``d`` beads that is ``>= len(mu)``."""
     runners: list[list[int]] = [[] for _ in range(d)]
-    for x in beta_set(mu, -(-len(mu) // d) * d):
-        runners[x % d].append(x // d)
+    top = -(-len(mu) // d) * d - 1
+    for i, part in enumerate(mu):
+        pos, j = divmod(part + top - i, d)
+        runners[j].append(pos)
+    for j in range(top - len(mu), -1, -1):  # the beads below mu: x = j < d
+        runners[j].append(0)
     return runners
 
 
-def _pushed_down(counts: list[int]) -> Partition:
-    """The core whose abacus has ``counts[j]`` beads pushed down on runner ``j``."""
-    d = len(counts)
-    beta = [d * pos + j for j, c in enumerate(counts) for pos in range(c)]
-    return _decode(sorted(beta, reverse=True))
-
-
+@lru_cache(maxsize=_SPLIT_CACHE_SIZE)
 def _core_quotient(mu: Partition, d: int) -> tuple[Partition, tuple[Partition, ...]]:
-    """The ``d``-core and the ``d``-quotient of ``mu`` from one abacus pass."""
+    """The ``d``-core (every runner's beads pushed down) and the ``d``-quotient
+    of the unchecked partition ``mu``, from one abacus pass."""
     runners = _runners(mu, d)
-    return _pushed_down([len(r) for r in runners]), tuple(_decode(r) for r in runners)
+    beta = [d * pos + j for j, r in enumerate(runners) for pos in range(len(r))]
+    return _decode(sorted(beta, reverse=True)), tuple(_decode(r) for r in runners)
 
 
 def d_core(mu: Partition, d: int) -> Partition:
     """The ``d``-core: push all abacus beads down on each runner."""
     _check_base("d", d)
-    return _pushed_down([len(r) for r in _runners(mu, d)])
+    return _core_quotient(as_partition(mu), d)[0]
 
 
 def is_d_core(mu: Partition, d: int) -> bool:
@@ -239,20 +247,22 @@ def cores_of_size(k: int, d: int) -> tuple[Partition, ...]:
 def d_quotient(mu: Partition, d: int) -> tuple[Partition, ...]:
     """The ``d``-quotient: runner ``j``'s bead positions, read as a beta-set."""
     _check_base("d", d)
-    return _core_quotient(mu, d)[1]
+    return _core_quotient(as_partition(mu), d)[1]
 
 
 def from_core_quotient(core: Partition, quotient, d: int) -> Partition:
     """Inverse of ``(d_core, d_quotient)``; requires ``core`` to be a ``d``-core."""
     _check_base("d", d)
-    quotient = tuple(quotient)
+    quotient = tuple(map(as_partition, quotient))
     if len(quotient) != d:
         raise ValueError(f"quotient must have exactly {d} components")
-    if not is_d_core(core, d):
+    core = as_partition(core)
+    if not _is_d_core(core, d):
         raise ValueError(f"{core} is not a {d}-core")
     return _from_core_quotient(core, quotient, d)
 
 
+@lru_cache(maxsize=_SPLIT_CACHE_SIZE)
 def _from_core_quotient(core: Partition, quotient, d: int) -> Partition:
     """:func:`from_core_quotient` on inputs already checked."""
     counts = [len(r) for r in _runners(core, d)]
@@ -292,7 +302,7 @@ def core_tower(mu: Partition, ell: int) -> CoreTower:
     _check_base("ell", ell)
     empty_split = ((), ((),) * ell)
     rows: list[tuple[Partition, ...]] = []
-    frontier = [mu]
+    frontier = [as_partition(mu)]
     while any(frontier):
         split = [_core_quotient(lam, ell) if lam else empty_split for lam in frontier]
         rows.append(tuple(core for core, _ in split))
@@ -300,27 +310,32 @@ def core_tower(mu: Partition, ell: int) -> CoreTower:
     return CoreTower(ell=ell, rows=tuple(rows))
 
 
-def _check_tower(tower: CoreTower) -> None:
-    """Row ``i`` of the tower must hold ``ell**i`` ``ell``-cores."""
+def _check_tower(tower: CoreTower) -> list[tuple[Partition, ...]]:
+    """Row ``i`` of the tower must hold ``ell**i`` ``ell``-cores; returns the
+    rows with every entry a tuple."""
     ell = tower.ell
     _check_base("ell", ell)
+    rows = []
     for i, row in enumerate(tower.rows):
         if len(row) != ell**i:
             raise ValueError(f"row {i} must have {ell**i} slots, has {len(row)}")
+        row = tuple(as_partition(lam) if lam else () for lam in row)
         for lam in row:
-            if lam and not is_d_core(lam, ell):
+            if lam and not _is_d_core(lam, ell):
                 raise ValueError(f"row {i} entry {lam} is not an {ell}-core")
+        rows.append(row)
+    return rows
 
 
 def from_tower(tower: CoreTower) -> Partition:
     """Partition encoded by a core tower (inverse of :func:`core_tower`)."""
-    _check_tower(tower)
+    rows = _check_tower(tower)
     ell = tower.ell
     # Collapse bottom-up: the partitions of row i are rebuilt from their row-i
     # core and the ell children already collapsed from row i+1.
-    level: list[Partition] = [()] * (ell ** len(tower.rows))
-    for row in reversed(tower.rows):
-        kids = [level[j : j + ell] for j in range(0, len(level), ell)]
+    level: list[Partition] = [()] * (ell ** len(rows))
+    for row in reversed(rows):
+        kids = zip(*[iter(level)] * ell)  # consecutive ell-tuples of level
         level = [
             _from_core_quotient(core, quot, ell) if core or any(quot) else ()
             for core, quot in zip(row, kids)

@@ -15,6 +15,8 @@ from weightcomb.arith import factorial_valuation, valuation
 from weightcomb.partitions import (
     CoreTower,
     EllExpansion,
+    _core_quotient,
+    _from_core_quotient,
     as_partition,
     beta_set,
     beta_to_partition,
@@ -381,6 +383,98 @@ def test_non_partition_core_is_rejected(call):
     3-core and the inverses would build (4, 2) from it."""
     with pytest.raises(ValueError, match="weakly decreasing"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: core_tower((1, 2), 3),
+        lambda: core_tower((2, -1), 3),
+        lambda: defect((1, 2), 3),
+        lambda: defect((2, -1), 3),
+        lambda: d_core((1, 2), 3),
+        lambda: d_quotient((2, -1), 3),
+        lambda: from_core_quotient((), ((2, -1), (), ()), 3),
+    ],
+    ids=[
+        "core_tower-increasing",
+        "core_tower-negative",
+        "defect-increasing",
+        "defect-negative",
+        "d_core",
+        "d_quotient",
+        "from_core_quotient-quotient",
+    ],
+)
+def test_non_partition_argument_is_rejected(call):
+    """A non-partition used to run away (core_tower and defect of (1, 2) or
+    (2, -1) allocate until the process dies) or to give a wrong answer
+    (d_core((1, 2), 3) was (4, 2))."""
+    with pytest.raises(ValueError, match="^partition parts must be"):
+        call()
+
+
+def test_list_arguments_keep_their_results():
+    assert core_tower([3, 1], 2) == core_tower((3, 1), 2)
+    assert defect([2, 1], 3) == 1
+    assert d_core([4, 2, 1], 3) == (1,)
+    assert d_quotient([2, 1], 3) == ((), (1,), ())
+    assert from_core_quotient([], [[], [1], []], 3) == (2, 1)
+    assert from_tower(CoreTower(2, (([1],), ([], [1])))) == (1, 1, 1)
+    assert from_tower(CoreTower(2, [[[1]], [[], [1]]])) == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The split caches behind core_tower and from_tower.
+
+
+def frontier_tower_rows(mu, ell):
+    """Core tower rows by the frontier walk, on the public split alone."""
+    rows, frontier = [], [mu]
+    while any(frontier):
+        rows.append(tuple(d_core(lam, ell) for lam in frontier))
+        frontier = [q for lam in frontier for q in d_quotient(lam, ell)]
+    return tuple(rows)
+
+
+def frontier_from_rows(rows, ell):
+    """Collapse core tower rows bottom-up with the public inverse alone."""
+    level = [()] * ell ** len(rows)
+    for row in reversed(rows):
+        level = [
+            from_core_quotient(core, level[j * ell : (j + 1) * ell], ell)
+            for j, core in enumerate(row)
+        ]
+    return level[0]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_towers_match_frontier_oracle(ell):
+    for n in range(17):
+        for mu in partitions_of(n):
+            rows = frontier_tower_rows(mu, ell)
+            assert core_tower(mu, ell).rows == rows, (mu, ell)
+            assert from_tower(CoreTower(ell, rows)) == frontier_from_rows(rows, ell) == mu
+
+
+def test_split_caches_are_bounded():
+    for cache in (_core_quotient, _from_core_quotient):
+        assert isinstance(cache.cache_info().maxsize, int), cache
+
+
+def test_sweep_beyond_the_cache_bound_round_trips():
+    """More distinct sub-partitions than either cache holds, so both evict
+    while the sweep runs."""
+    for cache in (_core_quotient, _from_core_quotient):
+        cache.cache_clear()
+    for n in range(25):
+        for mu in partitions_of(n):
+            tower = core_tower(mu, 2)
+            assert tower.total() == n
+            assert from_tower(tower) == mu
+    for cache in (_core_quotient, _from_core_quotient):
+        info = cache.cache_info()
+        assert info.misses > info.maxsize == info.currsize, info
 
 
 # ---------------------------------------------------------------------------
