@@ -365,15 +365,17 @@ def tilde(delta: Poly, ctx: FieldCtx) -> Poly:
     F = delta.field
     if F is not ctx.quadratic:
         raise ValueError("tilde is defined over the quadratic extension")
-    a0 = delta.coeffs[0]
-    if a0 == 0:
+    if delta.coeffs[0] == 0:
         raise ValueError("tilde needs a nonzero constant term")
-    q = ctx.q
-    m = delta.degree
-    scale = F.pow(a0, -q)
-    return Poly(
-        F, tuple(F.mul(scale, F.pow(delta.coeffs[m - k], q)) for k in range(m + 1))
-    )
+    return Poly(F, _twist(F, ctx.q, delta.coeffs))
+
+
+def _twist(F: FiniteField, q: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients a_0^(-q) * a_(m-k)^q of tilde, k = 0..m, by log
+    lookups; a_0 must be nonzero."""
+    exp, log, units = F._exp, F._log, F.order - 1
+    la0 = log[coeffs[0]]
+    return tuple(exp[q * (log[c] - la0) % units] if c else 0 for c in reversed(coeffs))
 
 
 class PolyLabel(_Value):
@@ -390,21 +392,20 @@ def F_set(ctx: FieldCtx, eps: int, n: int) -> list[PolyLabel]:
     _check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    labels = []
-    if eps == 1:
-        for m in range(1, n + 1):
-            for delta in irreducibles(ctx, "base", m, exclude_x=True):
-                labels.append(PolyLabel(gamma=delta, family="F0", deg=m))
-    else:
-        F = ctx.quadratic
-        for m in range(1, n + 1):
-            for delta in irreducibles(ctx, "quadratic", m, exclude_x=True):
-                twisted = tilde(delta, ctx)
-                if twisted == delta:
-                    labels.append(PolyLabel(gamma=delta, family="F1", deg=m))
-                elif 2 * m <= n and delta.code < twisted.code:
-                    product = Poly(F, _pmul(F, delta.coeffs, twisted.coeffs))
-                    labels.append(PolyLabel(gamma=product, family="F2", deg=2 * m))
+    F, labels = ctx.working(eps), []
+    # Candidates stay coefficient tuples; only the labels kept become Polys.
+    for m in range(1, n + 1):
+        for code in _irreducible_codes(F, m):
+            delta = _decode(code, F.order)
+            if delta[0] == 0:
+                continue  # x is no label
+            twisted = delta if eps == 1 else _twist(F, ctx.q, delta)
+            if twisted == delta:  # every Delta for eps = +1 (F0)
+                family = "F0" if eps == 1 else "F1"
+                labels.append(PolyLabel(gamma=Poly(F, delta), family=family, deg=m))
+            elif 2 * m <= n and code < _encode(twisted, F.order):
+                product = Poly(F, _pmul(F, delta, twisted))
+                labels.append(PolyLabel(gamma=product, family="F2", deg=2 * m))
     labels.sort(key=lambda lab: (lab.deg, lab.gamma.code))
     return labels
 

@@ -6,11 +6,13 @@ brute-force enumeration.
 """
 
 import math
+import time
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weightcomb import partitions
 from weightcomb.arith import factorial_valuation, valuation
 from weightcomb.partitions import (
     CoreTower,
@@ -23,6 +25,7 @@ from weightcomb.partitions import (
     compositions,
     conjugate,
     core_tower,
+    cores_of_size,
     d_core,
     d_quotient,
     defect,
@@ -231,6 +234,58 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
+# The d-cores of one size: generated where sparse, filtered where dense.
+
+
+def test_cores_of_size_matches_hook_oracle():
+    """Every k <= 22 and 2 <= d <= k + 2, on both sides of the d*d <= 2k rule:
+    the partitions of k with no hook length divisible by d."""
+    for k in range(23):
+        hooks_of = [(mu, {h for row in hook_lengths(mu) for h in row}) for mu in partitions_of(k)]
+        for d in range(2, k + 3):
+            expected = tuple(mu for mu, hs in hooks_of if all(h % d for h in hs))
+            assert cores_of_size(k, d) == expected, (k, d)
+
+
+def test_two_and_three_core_counts():
+    """Counts from no enumeration: one 2-core of each triangular size and none
+    of any other; the 3-cores of k number the divisors of 3k + 1 that are 1
+    mod 3 minus those that are 2 mod 3 (Granville-Ono)."""
+    triangular = {t * (t + 1) // 2 for t in range(12)}
+    for k in range(61):
+        assert len(cores_of_size(k, 2)) == (k in triangular), k
+        residues = [m % 3 for m in range(1, 3 * k + 2) if (3 * k + 1) % m == 0]
+        assert len(cores_of_size(k, 3)) == residues.count(1) - residues.count(2), k
+
+
+def test_cores_of_size_walks_partitions_only_where_dense(monkeypatch):
+    walked = []
+
+    def counting(n):
+        walked.append(n)
+        return partitions_of(n)
+
+    sparse, dense = cores_of_size(30, 7), cores_of_size(30, 8)
+    monkeypatch.setattr(partitions, "partitions_of", counting)
+    fresh = cores_of_size.__wrapped__  # past the cache
+    assert fresh(30, 7) == sparse and walked == []  # 7 * 7 <= 60
+    assert fresh(30, 8) == dense and walked == [30]  # 8 * 8 > 60
+    assert fresh(5, 6) == partitions_of(5) and walked == [30, 5]  # k < d
+    start = time.perf_counter()
+    assert fresh(100, 2) == ()
+    assert len(fresh(100, 3)) == 4
+    assert time.perf_counter() - start < 1.0 and walked == [30, 5]
+
+
+@pytest.mark.parametrize(
+    "args, message", [((-1, 2), "n must be >= 0, got -1"), ((3, 1), "d must be >= 2, got 1")]
+)
+def test_cores_of_size_rejects_bad_input(args, message):
+    with pytest.raises(ValueError, match=message):
+        cores_of_size(*args)
 
 
 def test_compositions_match_cut_points():
