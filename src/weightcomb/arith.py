@@ -148,8 +148,9 @@ def _check_ell(ell: int) -> None:
 class _Value:
     """Base of the value classes: immutable, hashable ``__slots__`` objects,
     equal only to an object of the same class with equal compared fields.
-    ``__init__`` sets the fields with :meth:`_fill`.  ``_args`` names the
-    constructor's arguments, for repr and pickle (default: ``__slots__``);
+    ``__init__`` checks its arguments, then sets the fields with :meth:`_fill`;
+    :meth:`_trusted` only fills, for values built from checked ones.  ``_args``
+    names the constructor's arguments, for repr and pickle (default: ``__slots__``);
     ``_compared`` the fields of equality and hashing (default: ``_args``)."""
 
     __slots__ = ()
@@ -162,6 +163,13 @@ class _Value:
     def _fill(self, *values) -> None:
         for set_field, value in zip(self._setters, values):
             set_field(self, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance with its slots set to ``values``, without ``__init__``."""
+        self = object.__new__(cls)
+        self._fill(*values)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -48,7 +48,6 @@ __all__ = [
     "FieldCtx",
     "ctx_for",
     "Poly",
-    "irreducibles",
     "tilde",
     "PolyLabel",
     "F_set",
@@ -345,19 +344,6 @@ def _irreducible_codes(field: FiniteField, deg: int) -> tuple[int, ...]:
             for r in codes:
                 reducible[r] = 1
     return tuple(span + r for r in range(span) if not reducible[r])
-
-
-def irreducibles(
-    ctx: FieldCtx, which: str, deg: int, *, exclude_x: bool = False
-) -> list[Poly]:
-    """All monic irreducibles of the given degree over the chosen field."""
-    if which not in ("base", "quadratic"):
-        raise ValueError(f"which must be 'base' or 'quadratic', got {which!r}")
-    field = ctx.base if which == "base" else ctx.quadratic
-    polys = [Poly(field, _decode(c, field.order)) for c in _irreducible_codes(field, deg)]
-    if exclude_x:
-        polys = [p for p in polys if p.coeffs[0] != 0]
-    return polys
 
 
 def tilde(delta: Poly, ctx: FieldCtx) -> Poly:

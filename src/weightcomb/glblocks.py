@@ -17,6 +17,11 @@ labels built from shapes (gamma, c-sequence) with their defect-zero index
 sets, and the hook classification of generalized-cuspidal unipotent
 characters in type A.  A block label holds only (s, kappa); its weights are
 derived, and one cached per-divisor core table lists the valid kappa.
+
+Values are checked once, where they enter: the public constructors check
+their arguments, and whatever the module derives from values it built or
+checked (enumerated labels and blocks, action images, weights) is built
+unchecked, through ``_Value._trusted``.
 """
 
 from __future__ import annotations
@@ -38,11 +43,11 @@ from .errors import BoundExceededError, UnsupportedRegimeError
 from .partitions import (
     Partition,
     _core_quotient,
+    _is_d_core,
     as_partition,
     compositions,
     cores_of_size,
     hooks,
-    is_d_core,
     partitions_of,
 )
 
@@ -125,16 +130,7 @@ def _label(num: int, den: int, step: int) -> FracLabel:
     g = math.gcd(num, den)
     den //= g
     orbit = _orbit(num // g % den, den, step)
-    return FracLabel(len(orbit), den, min(orbit))
-
-
-@lru_cache(maxsize=None)
-def _is_orbit_label(deg: int, den: int, num: int, step: int) -> bool:
-    """Whether FracLabel(deg, den, num) labels its multiply-by-step orbit (step a
-    unit mod den, num the orbit minimum, deg its length); int keys hash fast."""
-    if math.gcd(den, step) != 1:
-        return False
-    return _label(num, den, step) == FracLabel(deg, den, num)
+    return FracLabel._trusted(len(orbit), den, min(orbit))
 
 
 def is_ellprime_label(lab: FracLabel, ell: int) -> bool:
@@ -152,7 +148,7 @@ def _unit_orbit_labels(r: int, step: int):
         orbit = _orbit(a, r, step)
         for b in orbit:
             seen[b] = 1
-        yield FracLabel(len(orbit), r, a)
+        yield FracLabel._trusted(len(orbit), r, a)
 
 
 def _degree_labels(q: int, eps: int, deg: int):
@@ -214,43 +210,32 @@ class SemisimpleLabel(_Value):
     ``params`` is the validated (q, eps, ell) and ``d_gammas`` holds d_Gamma
     of each elementary divisor, aligned with the assignments; both are
     derived at construction, since every block of s reads them, and take no
-    part in repr, equality or hashing."""
+    part in repr, equality or hashing.  The constructor checks, in this order,
+    a valid (q, eps, ell), distinct divisors, multiplicities >= 1, sorted
+    divisors, orbit labels and the degree sum; the labels the module
+    enumerates or moves by an action skip the checks (:func:`_semisimple`)."""
 
     __slots__ = ("q", "eps", "ell", "n", "assignments", "params", "d_gammas")
     _args = __slots__[:5]
 
     def __init__(self, q: int, eps: int, ell: int, n: int, assignments: tuple):
-        # One pass gathers every rule; the raises keep the rules' precedence.
         params = EllParams.compute(q, eps, ell)
-        step = eps * q
-        d_gamma = params.d_gamma
-        d_gammas = []
-        total = 0
-        increasing = multiplicities = True
-        not_orbit = prev = None
-        for lab, m in assignments:
-            if prev is not None and not prev < lab:
-                increasing = False
-            if m < 1:
-                multiplicities = False
-            if _is_orbit_label(lab.deg, lab.den, lab.num, step):
-                d_gammas.append(d_gamma(lab.deg))
-            elif not_orbit is None:
-                not_orbit = lab
-            total += lab.deg * m
-            prev = lab
-        if not increasing:
-            if len({lab for lab, _ in assignments}) < len(assignments):
-                raise ValueError("elementary divisors must be pairwise distinct")
-        if not multiplicities:
+        labels = [lab for lab, _ in assignments]
+        if len(set(labels)) < len(labels):
+            raise ValueError("elementary divisors must be pairwise distinct")
+        if any(m < 1 for _, m in assignments):
             raise ValueError("multiplicities must be >= 1")
-        if not increasing:
+        if not all(a < b for a, b in zip(labels, labels[1:])):
             raise ValueError("assignments must be sorted by label")
-        if not_orbit is not None:
-            raise ValueError(f"{not_orbit} of degree {not_orbit.deg} is not an orbit label")
+        step = eps * q
+        for lab in labels:
+            # gcd first: the orbit walk never closes when den shares a factor with q
+            if math.gcd(lab.den, step) != 1 or _label(lab.num, lab.den, step) != lab:
+                raise ValueError(f"{lab} of degree {lab.deg} is not an orbit label")
+        total = sum(lab.deg * m for lab, m in assignments)
         if total != n:
             raise ValueError(f"degrees sum to {total}, expected n={n}")
-        self._fill(q, eps, ell, n, assignments, params, tuple(d_gammas))
+        self._fill(q, eps, ell, n, assignments, params, _d_gammas(params, assignments))
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,6 +245,19 @@ class SemisimpleLabel(_Value):
             "n": self.n,
             "s": [[str(lab), m] for lab, m in self.assignments],
         }
+
+
+def _d_gammas(params: EllParams, assignments: tuple) -> tuple[int, ...]:
+    """d_Gamma of each elementary divisor, aligned with the assignments."""
+    return tuple(params.d_gamma(lab.deg) for lab, _ in assignments)
+
+
+def _semisimple(params: EllParams, n: int, assignments: tuple) -> SemisimpleLabel:
+    """The semisimple label of assignments the module built itself: distinct
+    orbit labels, sorted, with multiplicities >= 1 and degrees summing to n."""
+    return SemisimpleLabel._trusted(
+        params.q, params.eps, params.ell, n, assignments, params, _d_gammas(params, assignments)
+    )
 
 
 def _assignments(labels: tuple[FracLabel, ...], start: int, remaining: int):
@@ -279,12 +277,10 @@ def _assignments(labels: tuple[FracLabel, ...], start: int, remaining: int):
 
 def semisimple_labels(n: int, q: int, eps: int, ell: int) -> list[SemisimpleLabel]:
     """All semisimple ell'-labels of GL_n / GU_n at the grid point."""
-    _check_grid(n, q, eps, ell)
+    params = _check_grid(n, q, eps, ell)
     labels = ellprime_labels(q, eps, ell, n)
     return [
-        SemisimpleLabel(
-            q, eps, ell, n, tuple((labels[i], m) for i, m in chosen)
-        )
+        _semisimple(params, n, tuple((labels[i], m) for i, m in chosen))
         for chosen in _assignments(labels, 0, n)
     ]
 
@@ -332,16 +328,6 @@ def _core_choices(m: int, d: int) -> tuple[Partition, ...]:
     return tuple(mu for size in sizes for mu in cores_of_size(size, d))
 
 
-@lru_cache(maxsize=None)
-def _is_choice(core: Partition, m: int, d: int) -> bool:
-    """Whether core is in _core_choices(m, d), decided without building the
-    table (for d > m it holds every partition of m)."""
-    size = sum(as_partition(core))  # raises for a non-partition
-    if size > m or (m - size) % d:
-        return False
-    return is_d_core(core, d) if d > 1 else core == ()
-
-
 def _choices(s: SemisimpleLabel) -> list[tuple[Partition, ...]]:
     """The core table of s: the d_Gamma-cores each divisor admits in a block."""
     return [_core_choices(m, d) for (_, m), d in zip(s.assignments, s.d_gammas)]
@@ -359,7 +345,11 @@ class BlockLabel(_Value):
         if len(kappa) != len(s.assignments):
             raise ValueError("kappa must align with the assignments of s")
         for (lab, m), core, d in zip(s.assignments, kappa, s.d_gammas):
-            if not _is_choice(core, m, d):
+            hash(core)  # a block is hashed with its kappa: refuse a list at once
+            mu = as_partition(core)
+            size = sum(mu)
+            # the core table's rule, without the table (all of p(m) for d > m)
+            if size > m or (m - size) % d or not (_is_d_core(mu, d) if d > 1 else core == ()):
                 raise ValueError(f"kappa at {lab} is not a core of a partition of {m}")
         self._fill(s, kappa)
 
@@ -373,17 +363,14 @@ class BlockLabel(_Value):
 
     def to_json_dict(self) -> dict:
         s = self.s
-        kappa, weights = [], []
-        for (lab, m), core, d in zip(s.assignments, self.kappa, s.d_gammas):
-            kappa.append([str(lab), list(core)])
-            weights.append((m - sum(core)) // d)
-        return {**s.to_json_dict(), "kappa": kappa, "weights": weights}
+        kappa = [[str(lab), list(core)] for (lab, _), core in zip(s.assignments, self.kappa)]
+        return {**s.to_json_dict(), "kappa": kappa, "weights": list(self.weights)}
 
 
 def blocks(n: int, q: int, eps: int, ell: int) -> list[BlockLabel]:
     """All block labels (s, kappa) at the grid point."""
     return [
-        BlockLabel(s, combo)
+        BlockLabel._trusted(s, combo)
         for s in semisimple_labels(n, q, eps, ell)
         for combo in itertools.product(*_choices(s))
     ]
@@ -395,7 +382,7 @@ def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     s = SemisimpleLabel(q, eps, ell, n, ((FracLabel(1, 1, 0), n),))
-    return BlockLabel(s, (_core_of((n,), s.params.d),))
+    return BlockLabel._trusted(s, (_core_of((n,), s.params.d),))
 
 
 def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
@@ -406,7 +393,7 @@ def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
         per_gamma.append(
             tuple(mu for mu in partitions_of(m) if _core_of(mu, d) == core)
         )
-    return [SeriesCharLabel(s, combo) for combo in itertools.product(*per_gamma)]
+    return [SeriesCharLabel._trusted(s, combo) for combo in itertools.product(*per_gamma)]
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +447,12 @@ def generic_weights(block: BlockLabel) -> tuple[GenericWeightLabel, ...]:
     ell-power multiplicity, and nothing otherwise."""
     s = block.s
     if is_defect_zero(block):
-        series = SeriesCharLabel(s, block.kappa)
-        return (GenericWeightLabel(s, None, series),)
+        series = SeriesCharLabel._trusted(s, block.kappa)
+        return (GenericWeightLabel._trusted(s, None, series),)
     if _positive_defect_case(block) is None:
         return ()
     _, m = s.assignments[0]
-    return tuple(GenericWeightLabel(s, h, None) for h in hooks(m))
+    return tuple(GenericWeightLabel._trusted(s, h, None) for h in hooks(m))
 
 
 class AFWeightLabel(_Value):
@@ -506,7 +493,7 @@ def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
     multiplicity ell**delta; nothing otherwise."""
     s = block.s
     if is_defect_zero(block):
-        return (AFWeightLabel(s, 0, (), (0, ())),)
+        return (AFWeightLabel._trusted(s, 0, (), (0, ()), None, None),)
     delta = _positive_defect_case(block)
     if delta is None:
         return ()
@@ -525,7 +512,7 @@ def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
             for residue in range(d_gam):
                 for vec in itertools.product(range(ell - 1), repeat=len(c_seq)):
                     out.append(
-                        AFWeightLabel(
+                        AFWeightLabel._trusted(
                             s, gamma_exp, c_seq, (residue, vec), m_basic, alpha
                         )
                     )
@@ -575,7 +562,7 @@ def _relabel(action, s: SemisimpleLabel, carried: tuple) -> tuple:
         ((_act_label(action, lab, params), m), entry)
         for (lab, m), entry in zip(s.assignments, carried)
     )
-    new_s = SemisimpleLabel(s.q, s.eps, s.ell, s.n, tuple(p for p, _ in moved))
+    new_s = _semisimple(params, s.n, tuple(p for p, _ in moved))
     return new_s, tuple(entry for _, entry in moved)
 
 
@@ -587,21 +574,21 @@ def act_on_semisimple(action, s: SemisimpleLabel) -> SemisimpleLabel:
 
 def act_on_series(action, label: SeriesCharLabel) -> SeriesCharLabel:
     """Relabel the series character, carrying each partition with its divisor."""
-    return SeriesCharLabel(*_relabel(action, label.s, label.mu))
+    return SeriesCharLabel._trusted(*_relabel(action, label.s, label.mu))
 
 
 def act_on_block(action, block: BlockLabel) -> BlockLabel:
     """Relabel the block, carrying each core with its divisor."""
-    return BlockLabel(*_relabel(action, block.s, block.kappa))
+    return BlockLabel._trusted(*_relabel(action, block.s, block.kappa))
 
 
 def act_on_weight(action, label):
     """Relabel a generic or AF weight label, keeping its combinatorial data."""
     if isinstance(label, GenericWeightLabel):
         series = None if label.series is None else act_on_series(action, label.series)
-        return GenericWeightLabel(act_on_semisimple(action, label.s), label.hook, series)
+        return GenericWeightLabel._trusted(act_on_semisimple(action, label.s), label.hook, series)
     if isinstance(label, AFWeightLabel):
-        return AFWeightLabel(
+        return AFWeightLabel._trusted(
             act_on_semisimple(action, label.s), label.gamma_exp, label.c_seq,
             label.psi_index, label.m_basic, label.alpha,
         )
@@ -688,19 +675,17 @@ def _shape_class_size(shape, counts: dict[int, int]) -> int:
     return total
 
 
-def _representative_semisimple(
-    shape, q: int, eps: int, ell: int, n: int
-) -> SemisimpleLabel:
+def _representative_semisimple(shape, params: EllParams, n: int) -> SemisimpleLabel:
     pairs = []
     for deg, mults in shape:
-        reps = _first_labels(q, eps, ell, deg, len(mults))
+        reps = _first_labels(params.q, params.eps, params.ell, deg, len(mults))
         if len(reps) < len(mults):
             raise AssertionError(
                 f"not enough degree-{deg} labels for {mults}: "
                 f"need {len(mults)}, found {len(reps)}"
             )
         pairs.extend(zip(reps, mults))
-    return SemisimpleLabel(q, eps, ell, n, tuple(sorted(pairs)))
+    return _semisimple(params, n, tuple(sorted(pairs)))
 
 
 def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
@@ -711,7 +696,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
     of (degree, multiplicity) pairs): every quantity compared depends only
     on the shape, so one representative per shape verifies its whole class.
     """
-    _check_grid(n, q, eps, ell)
+    params = _check_grid(n, q, eps, ell)
     counts = {d: ellprime_label_count(q, eps, ell, d) for d in range(1, n + 1)}
     degs = tuple(d for d in range(1, n + 1) if counts[d] > 0)
     s_count = 0
@@ -724,7 +709,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
     for shape in _shape_iter(degs, counts, n):
         class_size = _shape_class_size(shape, counts)
         s_count += class_size
-        rep_s = _representative_semisimple(shape, q, eps, ell, n)
+        rep_s = _representative_semisimple(shape, params, n)
         per_gamma = _choices(rep_s)
         blocks_per_s = math.prod(len(choices) for choices in per_gamma)
         blocks_checked += class_size * blocks_per_s
@@ -755,7 +740,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
         ]
         zero_blocks = math.prod(len(f) for f in full_cores)
         if zero_blocks:
-            rep_block = BlockLabel(rep_s, tuple(f[0] for f in full_cores))
+            rep_block = BlockLabel._trusted(rep_s, tuple(f[0] for f in full_cores))
             record(rep_block, class_size * zero_blocks)
 
         # Positive-weight blocks: both weight sets are empty unless ell
@@ -763,7 +748,7 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
         # Verify one representative when any exists: the choices ascend in
         # size, so the smallest cores give a block of positive weight.
         if blocks_per_s > zero_blocks:
-            rep_block = BlockLabel(rep_s, tuple(ch[0] for ch in per_gamma))
+            rep_block = BlockLabel._trusted(rep_s, tuple(ch[0] for ch in per_gamma))
             record(rep_block, class_size * (blocks_per_s - zero_blocks))
 
     return CountingReport(

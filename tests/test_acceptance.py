@@ -12,14 +12,14 @@ from weightcomb.arith import factorial_valuation, valuation
 from weightcomb.ffpoly import (
     CentralScalar,
     F_set,
+    Poly,
     PrimePower,
     ctx_for,
     frob_act,
-    irreducibles,
     tilde,
     z_act,
 )
-from weightcomb.ffpoly import _pow_x_mod
+from weightcomb.ffpoly import _decode, _irreducible_codes, _pow_x_mod
 from weightcomb.glblocks import (
     GRID_MAX_N,
     act_on_block,
@@ -246,19 +246,29 @@ def _necklace(Q: int, m: int) -> int:
     return sum(mobius(d) * Q ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
 
 
+def _irreducibles_but_x(field, deg):
+    """The monic irreducibles of degree ``deg`` over ``field`` other than x,
+    as ``Poly``, read off the sieve's codes (x has code ``field.order``)."""
+    return [
+        Poly(field, _decode(c, field.order))
+        for c in _irreducible_codes(field, deg)
+        if c != field.order
+    ]
+
+
 def test_c09_polynomial_label_suite():
     ok = True
     # necklace counts
     for q in (2, 3, 4, 5):
         ctx = ctx_for(q)
         for m in range(1, 7):
-            ok = ok and len(irreducibles(ctx, "base", m)) == _necklace(q, m)
+            ok = ok and len(_irreducible_codes(ctx.base, m)) == _necklace(q, m)
     # involution and dichotomy over F_4 and F_9
     for q in (2, 3):
         ctx = ctx_for(q)
         for m in range(1, 4):
             fixed = 0
-            for delta in irreducibles(ctx, "quadratic", m, exclude_x=True):
+            for delta in _irreducibles_but_x(ctx.quadratic, m):
                 twisted = tilde(delta, ctx)
                 ok = ok and tilde(twisted, ctx) == delta
                 ok = ok and twisted.degree == m

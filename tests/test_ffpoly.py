@@ -11,6 +11,8 @@ from weightcomb.ffpoly import (
     F_set,
     FieldCtx,
     Poly,
+    _decode,
+    _irreducible_codes,
     _pmul,
     _pow_x_mod,
     ctx_for,
@@ -18,7 +20,6 @@ from weightcomb.ffpoly import (
     extension_field,
     field_of_order,
     frob_act,
-    irreducibles,
     is_ellprime,
     prime_field,
     stabilizer_count,
@@ -192,19 +193,26 @@ def necklace_count(Q, m):
     return sum(mobius(d) * Q ** (m // d) for d in divisors(m)) // m
 
 
+def irreducibles(field, deg, exclude_x=False):
+    """The monic irreducibles of degree ``deg`` over ``field`` as ``Poly``,
+    by ascending code, read off the sieve; ``exclude_x`` drops x itself."""
+    polys = [Poly(field, _decode(c, field.order)) for c in _irreducible_codes(field, deg)]
+    return [p for p in polys if p.coeffs[0]] if exclude_x else polys
+
+
 def test_irreducibles_frozen_counts():
     ctx2, ctx3 = ctx_for(2), ctx_for(3)
-    assert len(irreducibles(ctx2, "base", 3)) == 2
-    ones = irreducibles(ctx2, "base", 1, exclude_x=True)
+    assert len(irreducibles(ctx2.base, 3)) == 2
+    ones = irreducibles(ctx2.base, 1, exclude_x=True)
     assert [p.coeffs for p in ones] == [(1, 1)]  # just x + 1
-    assert len(irreducibles(ctx3, "base", 2)) == 3
+    assert len(irreducibles(ctx3.base, 2)) == 3
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_necklace_formula(q):
     ctx = ctx_for(q)
     for m in range(1, 7):
-        polys = irreducibles(ctx, "base", m)
+        polys = irreducibles(ctx.base, m)
         assert len(polys) == necklace_count(q, m)
         codes = [p.code for p in polys]
         assert codes == sorted(codes)
@@ -227,7 +235,7 @@ def test_irreducibles_really_are_irreducible():
             for a in monics(k)
             for b in monics(deg - k)
         }
-        irreducible = {p.coeffs for p in irreducibles(ctx, which, deg)}
+        irreducible = {p.coeffs for p in irreducibles(F, deg)}
         assert irreducible == set(monics(deg)) - products
         assert len(irreducible) == necklace_count(Q, deg)
 
@@ -235,7 +243,7 @@ def test_irreducibles_really_are_irreducible():
 def test_budget_error():
     ctx = ctx_for(9)
     with pytest.raises(BoundExceededError):
-        irreducibles(ctx, "quadratic", 4)  # 81^4 > 2^20
+        irreducibles(ctx.quadratic, 4)  # 81^4 > 2^20
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +264,7 @@ def test_tilde_linear():
 def test_tilde_involution_and_fixed_points(q):
     ctx = ctx_for(q)
     for m in range(1, 4):
-        for delta in irreducibles(ctx, "quadratic", m, exclude_x=True):
+        for delta in irreducibles(ctx.quadratic, m, exclude_x=True):
             twisted = tilde(delta, ctx)
             assert tilde(twisted, ctx) == delta
             assert twisted.degree == m
@@ -337,7 +345,7 @@ def test_dichotomy_every_irreducible_lands_once(q):
     f1 = [lab.gamma for lab in labels if lab.family == "F1"]
     f2 = [lab.gamma for lab in labels if lab.family == "F2"]
     for m in range(1, n // 2 + 1):
-        deltas = irreducibles(ctx, "quadratic", m, exclude_x=True)
+        deltas = irreducibles(ctx.quadratic, m, exclude_x=True)
         for delta in deltas:
             twisted = tilde(delta, ctx)
             in_f1 = delta in f1

@@ -257,6 +257,35 @@ def test_semisimple_rule_precedence(point, n, assignments, error, message):
     assert type(caught.value) is error and str(caught.value) == message
 
 
+def test_semisimple_rejects_a_label_whose_orbit_never_closes():
+    # 9 is not a unit modulo 3, so walking the orbit of 1/3 would never
+    # stop: the check must refuse the label before it walks
+    with pytest.raises(ValueError) as caught:
+        SemisimpleLabel(9, 1, 5, 1, ((FracLabel(1, 3, 1), 1),))
+    assert str(caught.value) == "1/3 of degree 1 is not an orbit label"
+
+
+def _checked(s):
+    """s rebuilt through the public constructor, which checks every rule."""
+    out = SemisimpleLabel(s.q, s.eps, s.ell, s.n, s.assignments)
+    assert out == s and out.params is s.params and out.d_gammas == s.d_gammas
+    return out
+
+
+def test_trusted_values_equal_their_checked_rebuilds():
+    """The enumeration and the actions build labels and blocks unchecked;
+    each must equal what the checking constructors build from its fields,
+    down to params and d_gammas, which equality does not compare."""
+    for n, q, eps, ell in grid_points(3):
+        for s in semisimple_labels(n, q, eps, ell):
+            _checked(s)
+        for b in blocks(n, q, eps, ell):
+            assert BlockLabel(_checked(b.s), b.kappa) == b
+            for action in (1, "frob"):
+                image = act_on_block(action, b)
+                assert BlockLabel(_checked(image.s), image.kappa) == image
+
+
 def test_semisimple_d_gammas_are_fixed_at_construction():
     for n, q, eps, ell in [(4, 9, 1, 5), (4, 7, -1, 3), (3, 8, 1, 7)]:
         for s in semisimple_labels(n, q, eps, ell):
@@ -351,6 +380,24 @@ def test_principal_block_at_large_n():
     pb = principal_block(150, 2, 1, 101)
     assert pb.kappa == ((50,),) and pb.weights == (1,)
     assert time.perf_counter() - start < 1.0
+
+
+def test_block_check_never_builds_the_core_table():
+    start = time.perf_counter()
+    pb = principal_block(150, 2, 1, 101)  # d = 100 > n / 2
+    assert BlockLabel(pb.s, pb.kappa) == pb
+    with pytest.raises(ValueError):
+        BlockLabel(pb.s, ((49, 2),))  # |kappa| = 51 is not 150 mod 100
+    assert time.perf_counter() - start < 1.0
+
+
+def test_block_rejects_an_unhashable_kappa_entry():
+    s = SemisimpleLabel(2, 1, 3, 3, ((TRIVIAL, 3),))
+    with pytest.raises(TypeError):
+        BlockLabel(s, ([2, 1],))
+    s = SemisimpleLabel(2, 1, 3, 4, ((TRIVIAL, 2), (FracLabel(2, 3, 1), 1)))
+    with pytest.raises(TypeError):
+        BlockLabel(s, ((), [1]))
 
 
 def test_block_validation():
