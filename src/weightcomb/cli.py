@@ -3,11 +3,12 @@ machine-readable JSON reports.
 
 Every command prints a single JSON report to stdout (keys sorted, stable
 ordering everywhere) and keeps diagnostics on stderr, so output is
-byte-identical across repeated runs.  ``_emit`` streams each report with the
-bytes of ``json.dumps(report, sort_keys=True, indent=2)``, after every check
-that can fail.  Exit codes: 0 pass, 1 verification failure or broken invariant
-(one JSON record on stderr), 2 usage or parse error, 3 enumeration bound
-exceeded, 141 stdout closed by the reader.
+byte-identical across repeated runs.  ``_emit`` writes each report as
+``json.dumps(report, sort_keys=True, indent=2)``, after every check that can
+fail; only ``gl blocks`` streams, splicing in its pre-rendered block texts in
+chunks.  Exit codes: 0 pass, 1 verification failure or broken invariant (one
+JSON record on stderr), 2 usage or parse error, 3 enumeration bound exceeded,
+141 stdout closed by the reader.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from types import GeneratorType
 from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
@@ -110,58 +110,39 @@ def _report(
     }
 
 
-class _Fragment(str):
-    """JSON text rendered at the top-level indent, which ``_emit`` writes inline."""
-
-
 def _emit(report: dict, stream: TextIO | None = None) -> None:
     """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline to
-    ``stream`` (default stdout) in chunks of about 64 KB; a generator may stand
-    for a list, and a ``_Fragment`` is written as the JSON text it holds."""
+    ``stream`` (default stdout).  Results that are not a list are an iterator
+    of JSON texts at the top-level indent (``_block_texts``): they are spliced
+    in as they come and written in chunks of about 64 KB."""
     out = sys.stdout if stream is None else stream
-    pieces: list[str] = []
-    size = 0  # characters (bytes: the text is ASCII) since the last write
-
-    def put(value: Any, indent: str) -> None:
-        nonlocal size
-        if isinstance(value, (dict, list, tuple, GeneratorType)):
-            is_dict = isinstance(value, dict)
-            inner, sep, close = indent + "  ", *("{}" if is_dict else "[]")
-            for item in sorted(value) if is_dict else value:
-                head = sep + inner
-                if is_dict:
-                    head += encode_basestring_ascii(item) + ": "
-                    item = value[item]
-                kind = type(item)
-                if kind is str:
-                    pieces.append(head + encode_basestring_ascii(item))
-                elif kind is int:
-                    pieces.append(head + int.__repr__(item))
-                elif kind is _Fragment:
-                    pieces.append(head + item.replace("\n", inner))
-                else:
-                    pieces.append(head)
-                    put(item, inner)
-                sep = ","
-                size += len(pieces[-1])
-                if size > 65536:
-                    out.write("".join(pieces))
-                    pieces.clear()
-                    size = 0
-            pieces.append((indent if sep == "," else sep) + close)
-        else:  # a scalar the loop above did not inline; json.dumps rejects non-JSON types
-            pieces.append(json.dumps(value))
-
-    put(report, "\n")
-    pieces.append("\n")
-    out.write("".join(pieces))
+    results = report["results"]
+    if isinstance(results, list):
+        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    else:
+        text = json.dumps({**report, "results": []}, sort_keys=True, indent=2)
+        # Only "schema" and "tool", with fixed values, sort after "results".
+        head, _, tail = text.rpartition('"results": []')
+        pieces, sep = [head, '"results": ['], "\n    "
+        size = len(head)  # characters (bytes: the text is ASCII) since the last write
+        for item in results:
+            pieces.append(sep + item.replace("\n", "\n    "))
+            sep = ",\n    "
+            size += len(pieces[-1])
+            if size > 65536:
+                out.write("".join(pieces))
+                pieces.clear()
+                size = 0
+        close = "\n  ]" if sep == ",\n    " else "]"  # "[]" when results was empty
+        pieces.append(close + tail + "\n")
+        out.write("".join(pieces))
     out.flush()
 
 
 def _block_texts(all_blocks: Iterable[BlockLabel]):
-    """Each block's ``json.dumps(b.to_json_dict(), sort_keys=True, indent=2)``
-    as a ``_Fragment``: the parts of s are built once per s (its blocks come in
-    a row), and each core's text and size once per run."""
+    """Each block's ``json.dumps(b.to_json_dict(), sort_keys=True, indent=2)``:
+    the parts of s are built once per s (its blocks come in a row), and each
+    core's text and size once per run."""
     cores: dict[tuple[int, ...], tuple[str, int]] = {}
     s = None
     for b in all_blocks:
@@ -183,7 +164,7 @@ def _block_texts(all_blocks: Iterable[BlockLabel]):
                 hit = cores[core] = (text + "\n    ]", sum(core))
             kappa.append(lab_open + hit[0])
             weights.append(f"\n    {(m - hit[1]) // d}")
-        yield _Fragment(f'{head}{",".join(kappa)}{tail}{",".join(weights)}\n  ]\n}}')
+        yield f'{head}{",".join(kappa)}{tail}{",".join(weights)}\n  ]\n}}'
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +323,18 @@ def _load_campaign(path: str | None) -> dict:
     return config
 
 
-def _int_field(item: dict, key: str, default: int | None = None) -> int:
+def _int_field(
+    item: dict, key: str, default: int | None = None, minimum: int | None = None
+) -> int:
+    """An integer field; below ``minimum`` the item would check nothing."""
     value = item.get(key, default)
     if type(value) is not int:  # a JSON integer, not a bool
         raise ValueError(f"campaign item field {key!r} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(
+            f"campaign item field {key!r} must be >= {minimum} "
+            f"(a smaller value checks nothing), got {value}"
+        )
     return value
 
 
@@ -378,7 +367,7 @@ def _run_gl_verify(item: dict) -> dict:
 
 
 def _run_gl_grid(item: dict) -> dict:
-    n_max = _int_field(item, "n_max", GRID_MAX_N)
+    n_max = _int_field(item, "n_max", GRID_MAX_N, minimum=1)
     failures = []
     points = grid_points(n_max)
     total_blocks = 0
@@ -420,7 +409,7 @@ def _run_young_verify(item: dict) -> dict:
 def _run_hook_scan(item: dict) -> dict:
     """Re-derive the trichotomy conditions and check every classification
     outcome against them (mode, count, and hook shape)."""
-    n_max = _int_field(item, "n_max", 9)
+    n_max = _int_field(item, "n_max", 9, minimum=2)
     checked = 0
     ok = True
     for n in range(2, n_max + 1):
@@ -447,10 +436,10 @@ def _run_hook_scan(item: dict) -> dict:
 
 
 def _run_shape_identity(item: dict) -> dict:
-    delta_max = _int_field(item, "delta_max", 6)
+    delta_max = _int_field(item, "delta_max", 6, minimum=0)
     ells = item.get("ells", [3, 5, 7])
-    if not isinstance(ells, list) or not all(type(ell) is int for ell in ells):
-        raise ValueError("campaign item field 'ells' must be a list of integers")
+    if not (isinstance(ells, list) and ells and all(type(ell) is int for ell in ells)):
+        raise ValueError("campaign item field 'ells' must be a non-empty integer list")
     ok = all(
         shape_count_identity(delta, ell)
         for ell in ells

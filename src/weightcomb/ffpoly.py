@@ -399,6 +399,7 @@ def F_set(ctx: FieldCtx, eps: int, n: int) -> list[PolyLabel]:
 def is_ellprime(label: PolyLabel, ctx: FieldCtx, eps: int, ell: int) -> bool:
     """True iff every root of the label has order prime to ell: x^t = 1
     modulo gamma for t the ell-prime part of |(eps*q)^deg - 1|."""
+    d_of(ctx.q, eps, ell)  # the rules of d_Gamma: eps = +-1, ell a prime not dividing q
     t = ellprime_part((eps * ctx.q) ** label.deg - 1, ell)
     F = label.gamma.field
     remainder = _pow_x_mod(F, t, label.gamma.coeffs)
@@ -455,6 +456,7 @@ def frob_act(label: PolyLabel, ctx: FieldCtx) -> PolyLabel:
 
 def stabilizer_count(label: PolyLabel, eps: int, ell: int, ctx: FieldCtx) -> int:
     """|{z of ell-prime order with z Gamma = Gamma}| by direct enumeration."""
+    d_of(ctx.q, eps, ell)
     order = ctx.q - eps
     count = 0
     for k in range(order):

@@ -129,6 +129,8 @@ def _label(num: int, den: int, step: int) -> FracLabel:
     """Canonical label of the multiply-by-step orbit through num/den."""
     g = math.gcd(num, den)
     den //= g
+    if math.gcd(step, den) != 1:  # the orbit would never close
+        raise AssertionError(f"step {step} is not a unit modulo {den}")
     orbit = _orbit(num // g % den, den, step)
     return FracLabel._trusted(len(orbit), den, min(orbit))
 

@@ -122,6 +122,64 @@ def test_delta_four_weight_reports_keep_their_bytes(capsys, n, q, ell):
     assert digest == DELTA_FOUR_REPORTS[(n, q, ell)]
 
 
+# sha256 of a report of every command that the pins above leave out.
+COMMAND_REPORTS = {
+    "partition core 7,5,3,1 --d 3":
+        "2529532ad49bd947270cedec2d2b4334059f56ccd037cf1a7c4fe6843e97c175",
+    "partition quotient 7,5,3,1 --d 3":
+        "492915deb1846326c3a1f8cfeeeeb35920f54440a7320a432c2e7e00b5d3f596",
+    "partition tower 9,6,4,4,2,1 --ell 2":
+        "ed8438626ecb98afe0268683e3eb63f16632cd15d78b6d3df18ed1f0a3be685b",
+    "partition defect 9,6,4,4,2,1 --ell 3":
+        "3cf72bd23828cf0d8dd95e1243ec667720fa299b9bea5cc30cf059e9665f469a",
+    "partition hooks 6":
+        "38fe59b71487b6d85236ac2fdf8fda5fbb3e4ffbf8bdda657ccaff66119c89cc",
+    "hook --n 9 --q 4 --eps + --ell 3":
+        "b844a87a1a1df940cb002a2e066589ba1a5872756f2da4ba0eee254f60f02e2b",
+    "hook --n 4 --q 7 --eps - --ell 2":
+        "b367ed0fad85e27c75bcb3921213237991c4d1fc6b22b0a53a230b168845b374",
+    "gl verify --n 3 --q 4 --eps + --ell 3":
+        "287e0570b024aa68663107efd265024d1de3b68c7579bc3e232e61ce266ffaa6",
+    "gl weights --n 9 --q 4 --eps + --ell 3 --block principal":
+        "395222346c7dca46abd7b609f27f950e333051198b2ab1887b765c51cdf35746",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_REPORTS)
+def test_command_reports_keep_their_bytes(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_REPORTS[command]
+
+
+def test_failing_reports_keep_their_bytes(capsys, monkeypatch):
+    """The exit-1 reports of a short AF enumeration (see
+    test_short_af_enumeration_is_a_reported_failure)."""
+    compositions = glblocks.compositions
+    monkeypatch.setattr(
+        glblocks, "compositions",
+        lambda total: list(compositions(total))[:-1] if total else compositions(total),
+    )
+    point = ["--n", "3", "--q", "4", "--eps", "+", "--ell", "3"]
+    for action, digest in (
+        ("weights", "ee8aa5287ced2493a3dac36cb558fc401c0bee1373344bbd2087a40f17fe2d22"),
+        ("verify", "71492dd4fe7a082c7481b99727a5f04d4a77ff39623cbcdc34e8a5096aa044b6"),
+    ):
+        code, out, _ = run(capsys, "gl", action, *point)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, action
+
+
+def test_campaign_out_file_keeps_its_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report echoes the relative paths
+    Path("items.json").write_text(json.dumps(SMALL_CAMPAIGN))
+    code, out, _ = run(capsys, "campaign", "items.json", "--out", "report.json")
+    assert code == 0
+    assert Path("report.json").read_text(encoding="utf-8") == out
+    digest = hashlib.sha256(Path("report.json").read_bytes()).hexdigest()
+    assert digest == "e4d93ce40723f98d5d13736c168341bebcc46cb52d3f45c0dc6fc0b50c0300e1"
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -501,6 +559,27 @@ def test_campaign_malformed_configs(capsys, tmp_path):
     assert err == "error: kind must be one of ('sym', 'wreath', 'typed'), got 'bogus'\n"
 
 
+@pytest.mark.parametrize(
+    "item, field",
+    [
+        ({"op": "gl_grid", "n_max": 0}, "n_max"),
+        ({"op": "gl_grid", "n_max": -1}, "n_max"),
+        ({"op": "hook_scan", "n_max": 1}, "n_max"),
+        ({"op": "shape_identity", "delta_max": -3, "ells": [3]}, "delta_max"),
+        ({"op": "shape_identity", "delta_max": 2, "ells": []}, "ells"),
+        ({"op": "shape_identity", "delta_max": -3, "ells": []}, "delta_max"),
+    ],
+)
+def test_campaign_item_that_checks_nothing_is_refused(capsys, tmp_path, item, field):
+    """An item that would visit no point cannot pass: exit 2, empty stdout,
+    and a message that names the field."""
+    config = tmp_path / "empty_item.json"
+    config.write_text(json.dumps({"items": [{"op": "hook_scan", "n_max": 2}, item]}))
+    code, out, err = run(capsys, "campaign", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: campaign item field {field!r} must be ")
+
+
 def test_campaign_custom_items(capsys, tmp_path):
     config = tmp_path / "items.json"
     config.write_text(json.dumps({
@@ -583,10 +662,18 @@ def test_campaign_same_report_under_optimize(tmp_path):
 # The report writer.
 
 
-def emitted(value):
+def emitted(report):
     buf = io.StringIO()
-    _emit(value, buf)
+    _emit(report, buf)
     return buf.getvalue()
+
+
+def dumped(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def as_report(results, params=None):
+    return _report(["cmd", "arg"], params or {"k": "v"}, results, True)
 
 
 TEXT = st.text(
@@ -605,18 +692,19 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-def test_writer_matches_json_dumps(value):
-    assert emitted(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
-
-
-def test_writer_generators_and_unsupported_types():
-    value = {"b": (x for x in [1, {"c": []}, ()]), "a": (x for x in ())}
-    expected = {"b": [1, {"c": []}, []], "a": []}
-    assert emitted(value) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
-    assert emitted([0.5, -2.0]) == json.dumps([0.5, -2.0], indent=2) + "\n"
-    with pytest.raises(TypeError):
-        emitted({"a": [1, {2, 3}]})
+@given(
+    # one value's leaf budget for the whole results list
+    JSON_VALUES.map(lambda v: list(v) if isinstance(v, (list, tuple)) else [v]),
+    # params with a "results" key put a decoy '"results": []' before the real one
+    st.sampled_from([{"k": "v"}, {"results": []}]),
+)
+def test_writer_matches_json_dumps(values, params):
+    """A results list, and the same results as an iterator of pre-rendered
+    texts, both give json.dumps's bytes."""
+    expected = dumped(as_report(values, params))
+    assert emitted(as_report(values, params)) == expected
+    texts = (json.dumps(value, sort_keys=True, indent=2) for value in values)
+    assert emitted(as_report(texts, params)) == expected
 
 
 class Colour(IntEnum):
@@ -646,14 +734,15 @@ Point = namedtuple("Point", "x y")
 )
 def test_writer_non_exact_types_match_json_dumps(value):
     """Bools, subclasses of int, str, dict and tuple, floats and empty
-    containers leave the exact-type fast path and keep json.dumps's bytes."""
-    assert emitted(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    containers, in the params and the results, keep json.dumps's bytes."""
+    report = as_report([value], {"p": value})
+    assert emitted(report) == dumped(report)
 
 
 @pytest.mark.parametrize("value", [{"a": {1, 2}}, [1, {1, 2}]])
 def test_writer_rejects_a_set(value):
     with pytest.raises(TypeError, match="set is not JSON serializable"):
-        emitted(value)
+        emitted(as_report([value]))
 
 
 class WriteLog:
@@ -670,20 +759,23 @@ class WriteLog:
         pass
 
 
-def test_writer_fragments_at_depth():
-    """A fragment is written inline, re-indented to its depth, in a list and
-    as a dict value; chunks stay near 64 KB however large the fragments."""
-    value = {"e": [], "k": [1, {"m": "x", "n": []}]}
-    frag = cli._Fragment(json.dumps(value, sort_keys=True, indent=2))
-    nested = {"a": [2, {"b": [frag, "y"], "c": frag}], "d": frag}
-    expected = {"a": [2, {"b": [value, "y"], "c": value}], "d": value}
-    assert emitted(nested) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+def test_writer_splices_an_empty_iterator():
     log = WriteLog()
-    big = cli._Fragment(json.dumps(["z" * 10_000], indent=2))
-    _emit({"r": [[big] * 3] * 20}, log)
-    assert json.loads("".join(log.writes)) == {"r": [[["z" * 10_000]] * 3] * 20}
+    _emit(as_report(iter(())), log)
+    assert "".join(log.writes) == dumped(as_report([]))
+
+
+def test_writer_splices_big_texts_in_chunks():
+    """Pre-rendered texts go out in writes of about 64 KB, each at most
+    64 KB plus one text, however large the texts."""
+    value = {"e": [], "z": ["z" * 10_000]}
+    big = json.dumps(value, sort_keys=True, indent=2)
+    log = WriteLog()
+    _emit(as_report(iter([big] * 60)), log)
+    assert "".join(log.writes) == dumped(as_report([value] * 60))
     assert len(log.writes) > 1
-    assert max(map(len, log.writes)) <= 65536 + 2 * len(big)
+    spliced = ",\n    " + big.replace("\n", "\n    ")
+    assert max(map(len, log.writes)) <= 65536 + len(spliced)
 
 
 @pytest.mark.parametrize(

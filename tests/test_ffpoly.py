@@ -515,6 +515,23 @@ def test_ellprime_invariance_under_actions():
                 assert is_ellprime(z_act(z, lab), ctx, eps, ell) == flag
 
 
+@pytest.mark.parametrize(
+    "eps, ell",
+    [(1, 0), (1, 1), (1, 4), (1, 6), (0, 3), (2, 3), (1, 5), (-1, 5)],
+    ids=["ell0", "ell1", "ell4", "ell6", "eps0", "eps2", "ell_divides_q", "ell_divides_q_minus"],
+)
+def test_ellprime_and_stabilizer_refuse_bad_eps_and_ell(eps, ell):
+    """Both apply d_Gamma's rules: eps = +-1, ell a prime that does not divide q."""
+    ctx = ctx_for(5)
+    lab = F_set(ctx, 1, 1)[0]
+    with pytest.raises(ValueError):
+        is_ellprime(lab, ctx, eps, ell)
+    with pytest.raises(ValueError):
+        stabilizer_count(lab, eps, ell, ctx)
+    with pytest.raises(ValueError):
+        d_Gamma(lab, eps, ell, ctx.q)
+
+
 # ---------------------------------------------------------------------------
 # Stabilizers.
 

@@ -265,6 +265,15 @@ def test_semisimple_rejects_a_label_whose_orbit_never_closes():
     assert str(caught.value) == "1/3 of degree 1 is not an orbit label"
 
 
+def test_label_refuses_a_step_that_is_not_a_unit():
+    """A step that is not a unit modulo the reduced den is a broken
+    invariant, raised before the orbit walk that would never end."""
+    for num, den, step in ((1, 3, 9), (3, 9, 3), (2, 4, 2)):
+        with pytest.raises(AssertionError, match="is not a unit modulo"):
+            _label(num, den, step)
+    assert _label(4, 6, 2) == FracLabel(2, 3, 1)  # 2 is a unit mod 3
+
+
 def _checked(s):
     """s rebuilt through the public constructor, which checks every rule."""
     out = SemisimpleLabel(s.q, s.eps, s.ell, s.n, s.assignments)
