@@ -3,18 +3,20 @@ machine-readable JSON reports.
 
 Every command prints a single JSON report to stdout (keys sorted, stable
 ordering everywhere) and keeps diagnostics on stderr, so output is
-byte-identical across repeated runs.  ``_emit`` writes each report as
-``json.dumps(report, sort_keys=True, indent=2)``, after every check that can
-fail; only ``gl blocks`` streams, splicing in its pre-rendered block texts in
-chunks.  Exit codes: 0 pass, 1 verification failure or broken invariant (one
-JSON record on stderr), 2 usage or parse error, 3 enumeration bound exceeded,
-141 stdout closed by the reader.
+byte-identical across repeated runs.  Each ``_cmd_*`` handler returns the
+report's ``(params, results, passed)``; ``main`` alone writes it, through
+``_emit``, as ``json.dumps(report, sort_keys=True, indent=2)``, after every
+check that can fail, and picks the exit code.  Only ``gl blocks`` streams,
+splicing in its pre-rendered block texts in chunks.  A campaign config is
+checked whole, every item's fields against ``_OPS``, before any item runs.
+Exit codes: 0 pass, 1 verification failure or broken invariant (one JSON
+record on stderr), 2 usage or parse error, 3 enumeration bound exceeded, 141
+stdout closed by the reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -168,59 +170,43 @@ def _block_texts(all_blocks: Iterable[BlockLabel]):
 
 
 # ---------------------------------------------------------------------------
-# partition subcommands.
+# Command handlers: each returns the report's (params, results, passed), and
+# ``main`` writes the report.
+
+_Outcome = tuple[dict[str, Any], Iterable, bool]
 
 
-def _cmd_partition(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    action = args.action
-    if action == "hooks":
-        params: dict[str, Any] = {"action": action, "n": args.n}
+def _tower_result(mu: tuple[int, ...], ell: int) -> dict:
+    tower = core_tower(mu, ell)
+    rows = [[list(p) for p in row] for row in tower.rows]
+    sizes, total = list(tower.row_sizes()), tower.total()
+    return {"tower": {"ell": ell, "rows": rows, "row_sizes": sizes, "total": total}}
+
+
+# partition action -> (its option, the result of a partition and that option)
+_PARTITION_ACTIONS = {
+    "core": ("d", lambda mu, d: {"core": list(d_core(mu, d))}),
+    "quotient": ("d", lambda mu, d: {"quotient": [list(p) for p in d_quotient(mu, d)]}),
+    "tower": ("ell", _tower_result),
+    "defect": ("ell", lambda mu, ell: {"defect": defect(mu, ell)}),
+}
+
+
+def _cmd_partition(args: argparse.Namespace) -> _Outcome:
+    if args.action == "hooks":
         results = [{"hooks": [list(p) for p in hooks(args.n)]}]
-    else:
-        mu = _parse_partition_arg(args.partition)
-        if action in ("core", "quotient"):
-            d = args.d
-            params = {"action": action, "partition": list(mu), "d": d}
-            if action == "core":
-                results = [{"core": list(d_core(mu, d))}]
-            else:
-                results = [{"quotient": [list(p) for p in d_quotient(mu, d)]}]
-        else:  # tower | defect
-            ell = args.ell
-            params = {"action": action, "partition": list(mu), "ell": ell}
-            if action == "tower":
-                tower = core_tower(mu, ell)
-                results = [
-                    {
-                        "tower": {
-                            "ell": tower.ell,
-                            "rows": [
-                                [list(p) for p in row] for row in tower.rows
-                            ],
-                            "row_sizes": list(tower.row_sizes()),
-                            "total": tower.total(),
-                        }
-                    }
-                ]
-            else:
-                results = [{"defect": defect(mu, ell)}]
-    _emit(_report(argv, params, results, True))
-    return EXIT_PASS
+        return {"action": "hooks", "n": args.n}, results, True
+    option, result = _PARTITION_ACTIONS[args.action]
+    mu = _parse_partition_arg(args.partition)
+    value = getattr(args, option)
+    params = {"action": args.action, "partition": list(mu), option: value}
+    return params, [result(mu, value)], True
 
 
-# ---------------------------------------------------------------------------
-# young subcommand.
-
-
-def _cmd_young(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_young(args: argparse.Namespace) -> _Outcome:
     report = verify_bijection(args.kind, args.n, args.e, args.ell)
     params = {"kind": args.kind, "n": args.n, "e": args.e, "ell": args.ell}
-    _emit(_report(argv, params, [report.to_json_dict()], report.passed))
-    return EXIT_PASS if report.passed else EXIT_FAIL
-
-
-# ---------------------------------------------------------------------------
-# gl subcommands.
+    return params, [report.to_json_dict()], report.passed
 
 
 def _select_block(args: argparse.Namespace):
@@ -240,118 +226,82 @@ def _select_block(args: argparse.Namespace):
     return all_blocks[index]
 
 
-def _cmd_gl(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_gl(args: argparse.Namespace) -> _Outcome:
     params = {"action": args.action, **_point_params(args)}
     if args.action == "blocks":
-        out = blocks(args.n, args.q, args.eps, args.ell)
-        _emit(_report(argv, params, _block_texts(out), True))
-        return EXIT_PASS
-    if args.action == "weights":
-        params["block"] = args.block
-        block = _select_block(args)
-        gen = generic_weights(block)
-        af = af_weights(block)
-        passed = len(gen) == len(af)
-        results = [
-            {
-                "block": block.to_json_dict(),
-                "generic": [w.to_json_dict() for w in gen],
-                "af": [w.to_json_dict() for w in af],
-                "generic_count": len(gen),
-                "af_count": len(af),
-            }
-        ]
-        _emit(_report(argv, params, results, passed))
-        return EXIT_PASS if passed else EXIT_FAIL
-    # verify
-    report = verify_counting(args.n, args.q, args.eps, args.ell)
-    _emit(_report(argv, params, [report.to_json_dict()], report.passed))
-    return EXIT_PASS if report.passed else EXIT_FAIL
+        return params, _block_texts(blocks(args.n, args.q, args.eps, args.ell)), True
+    if args.action == "verify":
+        report = verify_counting(args.n, args.q, args.eps, args.ell)
+        return params, [report.to_json_dict()], report.passed
+    params["block"] = args.block
+    block = _select_block(args)
+    gen = generic_weights(block)
+    af = af_weights(block)
+    results = [
+        {
+            "block": block.to_json_dict(),
+            "generic": [w.to_json_dict() for w in gen],
+            "af": [w.to_json_dict() for w in af],
+            "generic_count": len(gen),
+            "af_count": len(af),
+        }
+    ]
+    return params, results, len(gen) == len(af)
 
 
-# ---------------------------------------------------------------------------
-# hook subcommand.
-
-
-def _cmd_hook(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_hook(args: argparse.Namespace) -> _Outcome:
     out = unipotent_hook_eGC(args.n, args.q, args.eps, args.ell)
-    _emit(_report(argv, _point_params(args), [out.to_json_dict()], True))
-    return EXIT_PASS
+    return _point_params(args), [out.to_json_dict()], True
 
 
 # ---------------------------------------------------------------------------
 # campaign subcommand.
 
-
-def _default_campaign() -> dict:
-    """The built-in verification grid: hook classification scan, shape
-    identity, symmetric/wreath/type-D bijections, and the full block grid."""
-    items: list[dict[str, Any]] = [
-        {"op": "hook_scan", "n_max": 9},
-        {"op": "shape_identity", "delta_max": 6, "ells": [3, 5, 7]},
-    ]
-    for ell in (2, 3, 5):
-        items.append({"op": "young_verify", "kind": "sym", "n": 12, "ell": ell})
-    items.append({"op": "young_verify", "kind": "wreath", "n": 4, "e": 2, "ell": 3})
-    items.append({"op": "young_verify", "kind": "wreath", "n": 3, "e": 3, "ell": 5})
-    items.append({"op": "young_verify", "kind": "typed", "n": 2, "e": 1, "ell": 3})
-    items.append({"op": "young_verify", "kind": "typed", "n": 3, "e": 2, "ell": 5})
-    items.append({"op": "gl_grid", "n_max": GRID_MAX_N})
-    return {"items": items}
+# The built-in verification grid: hook classification scan, shape identity,
+# symmetric/wreath/type-D bijections, and the full block grid.
+_DEFAULT_ITEMS = [
+    {"op": "hook_scan", "n_max": 9},
+    {"op": "shape_identity", "delta_max": 6, "ells": [3, 5, 7]},
+    *({"op": "young_verify", "kind": "sym", "n": 12, "ell": ell} for ell in (2, 3, 5)),
+    {"op": "young_verify", "kind": "wreath", "n": 4, "e": 2, "ell": 3},
+    {"op": "young_verify", "kind": "wreath", "n": 3, "e": 3, "ell": 5},
+    {"op": "young_verify", "kind": "typed", "n": 2, "e": 1, "ell": 3},
+    {"op": "young_verify", "kind": "typed", "n": 3, "e": 2, "ell": 5},
+    {"op": "gl_grid", "n_max": GRID_MAX_N},
+]
 
 
-def _load_campaign(path: str | None) -> dict:
-    if path is None:
-        return _default_campaign()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(config, dict) or not isinstance(config.get("items"), list):
-        raise ValueError("config must be an object with an 'items' list")
-    for pos, item in enumerate(config["items"]):
-        if not isinstance(item, dict) or "op" not in item:
-            raise ValueError(f"items[{pos}] must be an object with an 'op' field")
-        if item["op"] not in _ITEM_RUNNERS:
+def _integer(minimum: int | None = None, optional: bool = False):
+    """A check of a JSON integer (not a bool) field; below ``minimum`` the item
+    would check nothing, and an ``optional`` field may be absent."""
+    def check(value):
+        if value is None and optional:
+            return None
+        if type(value) is not int:
+            raise ValueError("must be an integer")
+        if minimum is not None and value < minimum:
             raise ValueError(
-                f"items[{pos}]: unknown op {item['op']!r} "
-                f"(expected one of {sorted(_ITEM_RUNNERS)})"
+                f"must be >= {minimum} (a smaller value checks nothing), got {value}"
             )
-    return config
+        return value
+    return check
 
 
-def _int_field(
-    item: dict, key: str, default: int | None = None, minimum: int | None = None
-) -> int:
-    """An integer field; below ``minimum`` the item would check nothing."""
-    value = item.get(key, default)
-    if type(value) is not int:  # a JSON integer, not a bool
-        raise ValueError(f"campaign item field {key!r} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ValueError(
-            f"campaign item field {key!r} must be >= {minimum} "
-            f"(a smaller value checks nothing), got {value}"
-        )
-    return value
-
-
-def _eps_field(item: dict) -> int:
-    """A campaign item's eps: a spelling of --eps, or the JSON integer 1 or -1."""
-    value = item.get("eps", "+")
+def _eps_value(value) -> int:
+    """A spelling of --eps, or the JSON integer 1 or -1."""
     eps = _EPS.get(str(value)) if type(value) in (str, int) else None
     if eps is None:
-        raise ValueError(f"campaign item field 'eps' must be '+' or '-', got {value!r}")
+        raise ValueError(f"must be '+' or '-', got {value!r}")
     return eps
 
 
-def _run_gl_verify(item: dict) -> dict:
-    n = _int_field(item, "n")
-    q = _int_field(item, "q")
-    ell = _int_field(item, "ell")
-    eps = _eps_field(item)
+def _ells_value(value) -> list[int]:
+    if not (isinstance(value, list) and value and all(type(x) is int for x in value)):
+        raise ValueError("must be a non-empty integer list")
+    return value
+
+
+def _run_gl_verify(n: int, q: int, eps: int, ell: int) -> dict:
     report = verify_counting(n, q, eps, ell)
     return {
         "op": "gl_verify",
@@ -366,8 +316,7 @@ def _run_gl_verify(item: dict) -> dict:
     }
 
 
-def _run_gl_grid(item: dict) -> dict:
-    n_max = _int_field(item, "n_max", GRID_MAX_N, minimum=1)
+def _run_gl_grid(n_max: int) -> dict:
     failures = []
     points = grid_points(n_max)
     total_blocks = 0
@@ -386,13 +335,7 @@ def _run_gl_grid(item: dict) -> dict:
     }
 
 
-def _run_young_verify(item: dict) -> dict:
-    kind = item.get("kind")
-    n = _int_field(item, "n")
-    ell = _int_field(item, "ell")
-    e = item.get("e")
-    if e is not None:
-        e = _int_field(item, "e")
+def _run_young_verify(kind, n: int, e: int | None, ell: int) -> dict:
     report = verify_bijection(kind, n, e, ell)
     return {
         "op": "young_verify",
@@ -406,10 +349,9 @@ def _run_young_verify(item: dict) -> dict:
     }
 
 
-def _run_hook_scan(item: dict) -> dict:
+def _run_hook_scan(n_max: int) -> dict:
     """Re-derive the trichotomy conditions and check every classification
     outcome against them (mode, count, and hook shape)."""
-    n_max = _int_field(item, "n_max", 9, minimum=2)
     checked = 0
     ok = True
     for n in range(2, n_max + 1):
@@ -435,58 +377,84 @@ def _run_hook_scan(item: dict) -> dict:
     return {"op": "hook_scan", "n_max": n_max, "points": checked, "pass": ok}
 
 
-def _run_shape_identity(item: dict) -> dict:
-    delta_max = _int_field(item, "delta_max", 6, minimum=0)
-    ells = item.get("ells", [3, 5, 7])
-    if not (isinstance(ells, list) and ells and all(type(ell) is int for ell in ells)):
-        raise ValueError("campaign item field 'ells' must be a non-empty integer list")
-    ok = all(
-        shape_count_identity(delta, ell)
-        for ell in ells
-        for delta in range(delta_max + 1)
-    )
-    return {
-        "op": "shape_identity",
-        "delta_max": delta_max,
-        "ells": list(ells),
-        "pass": ok,
-    }
+def _run_shape_identity(delta_max: int, ells: list[int]) -> dict:
+    ok = all(shape_count_identity(d, ell) for ell in ells for d in range(delta_max + 1))
+    return {"op": "shape_identity", "delta_max": delta_max, "ells": ells, "pass": ok}
 
 
-_ITEM_RUNNERS = {
-    "gl_verify": _run_gl_verify,
-    "gl_grid": _run_gl_grid,
-    "young_verify": _run_young_verify,
-    "hook_scan": _run_hook_scan,
-    "shape_identity": _run_shape_identity,
+# op -> (runner, {field: (check, default)}), fields checked in this order.
+# Library rules (kind, prime ell, grid and oracle bounds) raise when the item runs.
+_OPS = {
+    "gl_verify": (_run_gl_verify, {
+        "n": (_integer(), None),
+        "q": (_integer(), None),
+        "ell": (_integer(), None),
+        "eps": (_eps_value, "+"),
+    }),
+    "gl_grid": (_run_gl_grid, {"n_max": (_integer(1), GRID_MAX_N)}),
+    "young_verify": (_run_young_verify, {
+        "kind": (lambda kind: kind, None),
+        "n": (_integer(), None),
+        "ell": (_integer(), None),
+        "e": (_integer(optional=True), None),
+    }),
+    "hook_scan": (_run_hook_scan, {"n_max": (_integer(2), 9)}),
+    "shape_identity": (_run_shape_identity, {
+        "delta_max": (_integer(0), 6),
+        "ells": (_ells_value, [3, 5, 7]),
+    }),
 }
 
 
-def _cmd_campaign(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    config = _load_campaign(args.config)
-    items = config["items"]
-    results = [_ITEM_RUNNERS[item["op"]](item) for item in items]
-    passed = all(r["pass"] for r in results)
-    # Items run in order in one thread; "jobs" stays, as 1, so that
-    # campaign reports keep their bytes.
+def _load_campaign(path: str | None) -> list[tuple[str, dict[str, Any]]]:
+    """The checked ``(op, fields)`` of every item, before any item runs."""
+    if path is None:
+        items = _DEFAULT_ITEMS
+    else:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                config = json.load(handle)
+        except OSError as exc:
+            raise ValueError(f"cannot read config: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(config, dict) or not isinstance(config.get("items"), list):
+            raise ValueError("config must be an object with an 'items' list")
+        items = config["items"]
+    checked = []
+    for pos, item in enumerate(items):
+        if not isinstance(item, dict) or "op" not in item:
+            raise ValueError(f"items[{pos}] must be an object with an 'op' field")
+        op = item["op"]
+        if op not in _OPS:
+            raise ValueError(
+                f"items[{pos}]: unknown op {op!r} (expected one of {sorted(_OPS)})"
+            )
+        spec = _OPS[op][1]
+        unknown = sorted(set(item) - {"op", *spec})
+        if unknown:
+            raise ValueError(
+                f"items[{pos}]: {op} takes no field {unknown[0]!r} "
+                f"(expected some of {list(spec)})"
+            )
+        fields = {}
+        for key, (check, default) in spec.items():
+            try:
+                fields[key] = check(item.get(key, default))
+            except ValueError as exc:
+                raise ValueError(f"items[{pos}]: field {key!r} {exc}") from None
+        checked.append((op, fields))
+    return checked
+
+
+def _cmd_campaign(args: argparse.Namespace) -> _Outcome:
+    items = _load_campaign(args.config)
+    results = [_OPS[op][0](**fields) for op, fields in items]
+    passed = sum(1 for r in results if r["pass"])
+    print(f"campaign: {len(results)} items, {passed} passed", file=sys.stderr)
+    # Items run in order in one thread: "jobs" stays 1 so reports keep their bytes.
     params = {"config": args.config or "default", "items": len(items), "jobs": 1}
-    report = _report(argv, params, results, passed)
-    _emit(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            _emit(report, handle)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "op", "pass"])
-            for pos, result in enumerate(results):
-                writer.writerow([pos, result["op"], result["pass"]])
-    print(
-        f"campaign: {len(results)} items, "
-        f"{sum(1 for r in results if r['pass'])} passed",
-        file=sys.stderr,
-    )
-    return EXIT_PASS if passed else EXIT_FAIL
+    return params, results, passed == len(results)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON config with an 'items' list (default: built-in grid)",
     )
-    camp.add_argument("--out", default=None, help="also write the report here")
-    camp.add_argument("--csv", default=None, help="write a CSV summary here")
     camp.set_defaults(handler=_cmd_campaign)
 
     return parser
@@ -583,7 +549,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.handler(args, args_list)
+        params, results, passed = args.handler(args)
+        _emit(_report(args_list, params, results, passed))
     except BrokenPipeError:
         # The reader closed stdout: send the flush at exit to devnull instead.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -598,6 +565,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         record = {"error": "invariant", "message": str(exc), "command": args_list}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return EXIT_FAIL
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

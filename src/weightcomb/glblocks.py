@@ -42,6 +42,7 @@ from .arith import (
 from .errors import BoundExceededError, UnsupportedRegimeError
 from .partitions import (
     Partition,
+    _check_listing,
     _core_quotient,
     _is_d_core,
     as_partition,
@@ -797,6 +798,7 @@ def unipotent_hook_eGC(n: int, q: int, eps: int, ell: int) -> HookEGC:
         params = EllParams.compute(q, eps, ell)
     except UnsupportedRegimeError:
         # ell = 2 with 4 not dividing q - eps: q is odd, so 4 | q + eps.
+        _check_listing(n, every=True)
         return HookEGC("all", partitions_of(n))
     # d = 1 exactly when ell (4 for ell = 2) divides eps*q - 1, i.e. q - eps.
     if params.d == 1 and ellprime_part(n, ell) == 1:

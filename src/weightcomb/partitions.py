@@ -24,6 +24,9 @@ Conventions
 * The split ``mu -> (core, quotient)`` and its inverse each sit behind an
   ``lru_cache`` bounded at ``_SPLIT_CACHE_SIZE`` entries, so a sub-partition
   that recurs across towers is split once per process.
+* A listing printed whole, :func:`hooks` or every partition of ``n``, is
+  refused past ``_LISTING_CELLS`` cells, counted before it is enumerated:
+  ``n * n`` (n <= 2000) and ``n * p(n)`` (n <= 44).
 * The public core, quotient and tower functions run :func:`as_partition` on
   every partition argument: a non-partition raises ``ValueError`` and a list
   is taken as its tuple.  Private helpers take checked tuples; callers that
@@ -36,6 +39,7 @@ from functools import lru_cache
 from math import factorial, isqrt
 
 from .arith import _check_ell, _Value
+from .errors import BoundExceededError
 
 __all__ = [
     "Partition",
@@ -65,6 +69,7 @@ __all__ = [
 
 Partition = tuple[int, ...]
 _SPLIT_CACHE_SIZE = 4096  # entries in each of the two core/quotient split caches
+_LISTING_CELLS = 4_000_000  # cells (boxes) in one listing of partitions of n
 
 
 def as_partition(parts) -> Partition:
@@ -110,23 +115,35 @@ def compositions(total: int, parts: int | None = None):
 
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """Number of partitions of ``n`` via Euler's pentagonal-number recurrence."""
+    """Number of partitions of ``n`` via Euler's pentagonal-number recurrence,
+    filled bottom-up, so that a large ``n`` does not recurse."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total, k = 0, 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n:
-            break
-        sign = 1 if k % 2 == 1 else -1
-        total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    counts = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 == 1 else -1
+            total += sign * counts[m - g]
+            if g + k <= m:
+                total += sign * counts[m - g - k]
+            k += 1
+        counts.append(total)
+    return counts[n]
+
+
+def _check_listing(n: int, every: bool = False) -> None:
+    """Refuse, before enumerating, a listing of the hooks of ``n`` (n * n
+    cells) or of ``every`` partition of ``n`` (n * p(n) cells) above
+    ``_LISTING_CELLS``.  As p(n) >= n, a large ``n`` is refused uncounted."""
+    cells = n * n
+    if every and cells <= _LISTING_CELLS:
+        cells = n * partition_count(n)
+    if cells > _LISTING_CELLS:
+        what = "every partition" if every else "the hooks"
+        raise BoundExceededError(
+            f"listing {what} of {n} would hold more than {_LISTING_CELLS} cells"
+        )
 
 
 def conjugate(mu: Partition) -> Partition:
@@ -164,6 +181,7 @@ def hooks(n: int) -> tuple[Partition, ...]:
     """Hook partitions of ``n`` ordered by leg length: ``(n), (n-1,1), ..., (1^n)``."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    _check_listing(n)
     if n == 0:
         return ((),)
     return tuple((n - j,) + (1,) * j for j in range(n))

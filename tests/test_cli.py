@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import OrderedDict, namedtuple
@@ -170,14 +171,73 @@ def test_failing_reports_keep_their_bytes(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, action
 
 
-def test_campaign_out_file_keeps_its_bytes(capsys, tmp_path, monkeypatch):
+def test_campaign_config_report_keeps_its_bytes(capsys, tmp_path, monkeypatch):
+    """The report of SMALL_CAMPAIGN, whose "command" echoes the argv."""
     monkeypatch.chdir(tmp_path)  # the report echoes the relative paths
     Path("items.json").write_text(json.dumps(SMALL_CAMPAIGN))
-    code, out, _ = run(capsys, "campaign", "items.json", "--out", "report.json")
+    code, out, _ = run(capsys, "campaign", "items.json")
     assert code == 0
-    assert Path("report.json").read_text(encoding="utf-8") == out
-    digest = hashlib.sha256(Path("report.json").read_bytes()).hexdigest()
-    assert digest == "e4d93ce40723f98d5d13736c168341bebcc46cb52d3f45c0dc6fc0b50c0300e1"
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "ee32028e3596154ec0d5c14942e78a382271a9217618e586247cbca19299c277"
+
+
+class EmitCount:
+    """Stands in for ``cli._emit``: counts the calls, then writes."""
+
+    def __init__(self, emit):
+        self.emit, self.calls = emit, 0
+
+    def __call__(self, report, stream=None):
+        self.calls += 1
+        self.emit(report, stream)
+
+
+@pytest.mark.parametrize(
+    "command", [*COMMAND_REPORTS, "campaign", "campaign bench/smoke_campaign.json"]
+)
+def test_main_emits_each_report_once(capsys, monkeypatch, command):
+    """main is the one writer: one _emit call per report, made by main."""
+    monkeypatch.chdir(REPO)
+    count = EmitCount(cli._emit)
+    monkeypatch.setattr(cli, "_emit", count)
+    code, out, _ = run(capsys, *command.split())
+    assert (code, count.calls) == (0, 1)
+    assert json.loads(out)["command"] == command.split()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["partition", "core", "3,1", "--d", "1"], 2),
+        (["partition", "hooks", "2001"], 3),
+        (["hook", "--n", "45", "--q", "3", "--eps", "+", "--ell", "2"], 3),
+        (["gl", "blocks", "--n", "7", "--q", "9", "--eps", "+", "--ell", "5"], 3),
+        (["young", "verify", "--kind", "sym", "--n", "31", "--ell", "2"], 3),
+        (["campaign", "--out", "report.json"], 2),
+    ],
+)
+def test_main_emits_nothing_on_usage_error_or_bound(capsys, monkeypatch, argv, code):
+    count = EmitCount(cli._emit)
+    monkeypatch.setattr(cli, "_emit", count)
+    assert run(capsys, *argv)[:2] == (code, "")
+    assert count.calls == 0
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    """Every ``weightcomb ...`` line of README's "Command line" example runs
+    and passes, with README's campaign config as myconfig.json."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Command line"):]
+    block = section[section.index("```sh\n") + 6:]
+    block = block[:block.index("```")]
+    config = section[section.index("```json\n") + 8:]
+    monkeypatch.chdir(tmp_path)
+    Path("myconfig.json").write_text(config[:config.index("```")], encoding="utf-8")
+    lines = [line for line in block.splitlines() if line.startswith("weightcomb ")]
+    assert len(lines) >= 13
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
 
 
 def test_version_flag(capsys):
@@ -401,7 +461,7 @@ def test_eps_forms_of_flag_and_campaign_item(capsys, tmp_path, value, eps):
     code, out, err = run(capsys, "campaign", str(config))
     if eps is None:
         assert (code, out) == (2, ""), value
-        assert err == f"error: campaign item field 'eps' must be '+' or '-', got {value!r}\n"
+        assert err == f"error: items[0]: field 'eps' must be '+' or '-', got {value!r}\n"
     else:
         assert code == 0, value
         assert json.loads(out)["results"][0]["eps"] == sign
@@ -500,6 +560,23 @@ def test_gl_exit_codes(capsys):
 # hook command.
 
 
+def test_hook_listings_are_bounded(capsys):
+    """A listing is refused past 4,000,000 cells, counted before it is
+    enumerated: n * n for the hooks of n, n * p(n) for every partition (see
+    test_hook_listing_bound_holds_from_44_to_45 for both sides of it)."""
+    bound = "would hold more than 4000000 cells\n"
+    code, out, err = run(capsys, "partition", "hooks", "2001")
+    assert (code, out, err) == (3, "", f"bound exceeded: listing the hooks of 2001 {bound}")
+    # Mode "all": ell = 2 and 4 does not divide q - eps.
+    for n in ("45", "100", "1000000000"):
+        code, out, err = run(capsys, "hook", "--n", n, "--q", "3", "--eps", "+", "--ell", "2")
+        assert (code, out) == (3, ""), n
+        assert err == f"bound exceeded: listing every partition of {n} {bound}"
+    # Mode "hooks": n a power of ell = 2, and 4 divides q - eps.
+    code, out, err = run(capsys, "hook", "--n", "2048", "--q", "3", "--eps", "-", "--ell", "2")
+    assert (code, out, err) == (3, "", f"bound exceeded: listing the hooks of 2048 {bound}")
+
+
 def test_hook_command(capsys):
     code, report = run_json(
         capsys, "hook", "--n", "9", "--q", "4", "--eps", "+", "--ell", "3"
@@ -577,7 +654,34 @@ def test_campaign_item_that_checks_nothing_is_refused(capsys, tmp_path, item, fi
     config.write_text(json.dumps({"items": [{"op": "hook_scan", "n_max": 2}, item]}))
     code, out, err = run(capsys, "campaign", str(config))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: campaign item field {field!r} must be ")
+    assert err.startswith(f"error: items[1]: field {field!r} must be ")
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ({"op": "gl_grid", "nmax": 1}, "items[1]: gl_grid takes no field 'nmax'"),
+        ({"op": "hook_scan", "n_max": 3, "ell": 7}, "items[1]: hook_scan takes no field 'ell'"),
+        ({"op": "gl_verify", "n": 2, "q": 4, "l": 3}, "items[1]: gl_verify takes no field 'l'"),
+        ({"op": "hook_scan", "n_max": 1}, "items[1]: field 'n_max' must be >= 2"),
+        ({"op": "young_verify", "kind": "sym", "n": 4, "ell": 2, "e": "2"},
+         "items[1]: field 'e' must be an integer"),
+    ],
+)
+def test_campaign_is_checked_whole_before_any_item_runs(
+    capsys, tmp_path, monkeypatch, item, message
+):
+    """A misspelled or unknown field, or a bad value, is a usage error that
+    names its item and field, even behind a full gl_grid: no item runs."""
+    def refuse(*args):
+        raise AssertionError("verify_counting ran before the config was checked")
+
+    monkeypatch.setattr(cli, "verify_counting", refuse)
+    config = tmp_path / "items.json"
+    config.write_text(json.dumps({"items": [{"op": "gl_grid"}, item]}))
+    code, out, err = run(capsys, "campaign", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message), err
 
 
 def test_campaign_custom_items(capsys, tmp_path):
@@ -620,25 +724,21 @@ SMALL_CAMPAIGN = {
 
 
 def test_campaign_outputs_and_parallel_stability(capsys, tmp_path):
-    """--out repeats stdout byte for byte and --csv summarizes the items.
+    """The report goes to stdout only: there is no --out or --csv copy.
     Items always run in order in one thread: "jobs" is always 1, and there
     is no --jobs flag."""
     config = tmp_path / "items.json"
     config.write_text(json.dumps(SMALL_CAMPAIGN))
-    out_file = tmp_path / "report.json"
-    csv_file = tmp_path / "summary.csv"
-    code, out, _ = run(
-        capsys, "campaign", str(config),
-        "--out", str(out_file), "--csv", str(csv_file),
-    )
+    code, out, err = run(capsys, "campaign", str(config))
     assert code == 0
-    assert out_file.read_text(encoding="utf-8") == out
     assert json.loads(out)["params"]["jobs"] == 1
-    lines = csv_file.read_text().strip().splitlines()
-    assert lines[0] == "index,op,pass"
-    assert len(lines) == 4 and all(line.endswith("True") for line in lines[1:])
-    code, _, err = run(capsys, "campaign", str(config), "--jobs", "2")
-    assert code == 2 and "--jobs" in err
+    assert err == "campaign: 3 items, 3 passed\n"
+    report, summary = tmp_path / "report.json", tmp_path / "summary.csv"
+    for flag, value in (("--out", report), ("--csv", summary), ("--jobs", "2")):
+        code, out, err = run(capsys, "campaign", str(config), flag, str(value))
+        assert (code, out) == (2, ""), flag
+        assert flag in err, flag
+    assert not report.exists() and not summary.exists()
 
 
 def test_campaign_same_report_under_optimize(tmp_path):

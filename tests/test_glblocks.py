@@ -885,6 +885,17 @@ def test_hook_egc_frozen():
     }
 
 
+def test_hook_listing_bound_holds_from_44_to_45():
+    """Mode "all" lists n * p(n) cells: 3,307,700 at n = 44, within the
+    bound of 4,000,000, and 4,011,030 at n = 45, refused before listing."""
+    out = unipotent_hook_eGC(44, 3, 1, 2)
+    assert out.mode == "all" and len(out.partitions) == 75175
+    with pytest.raises(BoundExceededError, match="every partition of 45 "):
+        unipotent_hook_eGC(45, 3, 1, 2)
+    with pytest.raises(BoundExceededError, match="the hooks of 2048 "):
+        unipotent_hook_eGC(2048, 3, -1, 2)  # mode "hooks": 2048 * 2048 cells
+
+
 def test_hook_egc_errors():
     with pytest.raises(ValueError):
         unipotent_hook_eGC(1, 4, 1, 3)

@@ -42,14 +42,16 @@ def test_benchmark_trace_targets_resolve():
         assert mode in ("span", "count"), f"{mod_name}.{attr}: {mode}"
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """Every command pays the package import in a fresh process, and these
-    two modules (with ``ast``, ``dis`` and ``tokenize``) cost most of it."""
+def test_import_loads_neither_dataclasses_inspect_nor_csv():
+    """Every command pays the package import in a fresh process: the first
+    two modules (with ``ast``, ``dis`` and ``tokenize``) once cost most of
+    it, and ``csv`` about a tenth of it."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import weightcomb.cli, weightcomb.ffpoly\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules).difference(before)))\n"
+        "costly = {'csv', 'dataclasses', 'inspect'}\n"
+        "print(sorted(costly & set(sys.modules).difference(before)))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightcomb import partitions
+from weightcomb import BoundExceededError, partitions
 from weightcomb.arith import factorial_valuation, valuation
 from weightcomb.partitions import (
     CoreTower,
@@ -118,6 +118,13 @@ def test_partition_count_known_values():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
     assert [partition_count(n) for n in range(16)] == known
     assert partition_count(50) == 204226
+    assert partition_count(-1) == 0
+
+
+def test_partition_count_of_a_large_n_does_not_recurse():
+    """p(1000) with no smaller value cached used to hit the recursion limit."""
+    partition_count.cache_clear()
+    assert partition_count(1000) == 24061467864032622473692149727991
 
 
 def test_conjugate():
@@ -151,6 +158,13 @@ def test_hooks_order():
     assert hooks(1) == ((1,),)
     assert hooks(0) == ((),)
     assert len(hooks(9)) == 9
+
+
+def test_hooks_listing_is_bounded():
+    """The hooks of n hold n * n cells, at most 4,000,000 of them."""
+    assert len(hooks(2000)) == 2000 and hooks(2000)[-1] == (1,) * 2000
+    with pytest.raises(BoundExceededError, match="the hooks of 2001 would hold more than"):
+        hooks(2001)
 
 
 # ---------------------------------------------------------------------------
