@@ -240,5 +240,6 @@ class EllParams(_Value):
 
     def d_gamma(self, deg: int) -> int:
         """``d_Gamma`` of a degree-``deg`` elementary divisor: the order of
-        ``(eps*q)**deg`` modulo ``ell`` (modulo 4 when ``ell == 2``)."""
-        return d_of(self.q**deg, self.eps**deg, self.ell)
+        ``(eps*q)**deg`` modulo ``ell`` (modulo 4 when ``ell == 2``), which as
+        the order of a power of ``eps*q`` is ``d / gcd(d, deg)``."""
+        return self.d // gcd(self.d, deg)

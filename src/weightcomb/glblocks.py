@@ -16,7 +16,10 @@ labels (s, kappa), the generic weights of a block, the Alperin-style weight
 labels built from shapes (gamma, c-sequence) with their defect-zero index
 sets, and the hook classification of generalized-cuspidal unipotent
 characters in type A.  A block label holds only (s, kappa); its weights are
-derived, and one cached per-divisor core table lists the valid kappa.
+derived, and one cached per-divisor core table lists the valid kappa.  One
+walk over that table yields the blocks of s, for :func:`blocks` and for
+:func:`verify_counting`, which checks every block of one s per shape class.
+d_Gamma = 1 takes the abacus path of every other d: one runner, empty core.
 
 Values are checked once, where they enter: the public constructors check
 their arguments, and whatever the module derives from values it built or
@@ -292,11 +295,6 @@ def semisimple_labels(n: int, q: int, eps: int, ell: int) -> list[SemisimpleLabe
 # Blocks and series characters.
 
 
-def _core_of(mu: Partition, d: int) -> Partition:
-    """d-core extended to d = 1 (where every hook is removable)."""
-    return () if d == 1 else _core_quotient(mu, d)[0]
-
-
 class SeriesCharLabel(_Value):
     """A series character label: a semisimple label together with one
     partition of each multiplicity (aligned with s.assignments)."""
@@ -307,7 +305,8 @@ class SeriesCharLabel(_Value):
         if len(mu) != len(s.assignments):
             raise ValueError("mu must align with the assignments of s")
         for (lab, m), part in zip(s.assignments, mu):
-            if sum(part) != m:
+            hash(part)  # a label is hashed with its mu: refuse a list at once
+            if sum(as_partition(part)) != m:
                 raise ValueError(f"|mu| = {sum(part)} differs from m = {m} at {lab}")
         self._fill(s, mu)
 
@@ -331,11 +330,6 @@ def _core_choices(m: int, d: int) -> tuple[Partition, ...]:
     return tuple(mu for size in sizes for mu in cores_of_size(size, d))
 
 
-def _choices(s: SemisimpleLabel) -> list[tuple[Partition, ...]]:
-    """The core table of s: the d_Gamma-cores each divisor admits in a block."""
-    return [_core_choices(m, d) for (_, m), d in zip(s.assignments, s.d_gammas)]
-
-
 class BlockLabel(_Value):
     """A block label (s, kappa): per elementary divisor Gamma of s, a
     d_Gamma-core kappa_Gamma of a partition of m_Gamma (aligned with
@@ -352,7 +346,7 @@ class BlockLabel(_Value):
             mu = as_partition(core)
             size = sum(mu)
             # the core table's rule, without the table (all of p(m) for d > m)
-            if size > m or (m - size) % d or not (_is_d_core(mu, d) if d > 1 else core == ()):
+            if size > m or (m - size) % d or not _is_d_core(mu, d):
                 raise ValueError(f"kappa at {lab} is not a core of a partition of {m}")
         self._fill(s, kappa)
 
@@ -370,13 +364,17 @@ class BlockLabel(_Value):
         return {**s.to_json_dict(), "kappa": kappa, "weights": list(self.weights)}
 
 
+def _blocks_of(s: SemisimpleLabel):
+    """Yield every block (s, kappa) of s, kappa running over the product of
+    the core table of s: the d_Gamma-cores each divisor admits in a block."""
+    table = [_core_choices(m, d) for (_, m), d in zip(s.assignments, s.d_gammas)]
+    for kappa in itertools.product(*table):
+        yield BlockLabel._trusted(s, kappa)
+
+
 def blocks(n: int, q: int, eps: int, ell: int) -> list[BlockLabel]:
     """All block labels (s, kappa) at the grid point."""
-    return [
-        BlockLabel._trusted(s, combo)
-        for s in semisimple_labels(n, q, eps, ell)
-        for combo in itertools.product(*_choices(s))
-    ]
+    return [b for s in semisimple_labels(n, q, eps, ell) for b in _blocks_of(s)]
 
 
 def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:
@@ -385,7 +383,7 @@ def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     s = SemisimpleLabel(q, eps, ell, n, ((FracLabel(1, 1, 0), n),))
-    return BlockLabel._trusted(s, (_core_of((n,), s.params.d),))
+    return BlockLabel._trusted(s, (_core_quotient((n,), s.params.d)[0],))
 
 
 def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
@@ -394,7 +392,7 @@ def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
     per_gamma = []
     for (_, m), core, d in zip(s.assignments, block.kappa, s.d_gammas):
         per_gamma.append(
-            tuple(mu for mu in partitions_of(m) if _core_of(mu, d) == core)
+            tuple(mu for mu in partitions_of(m) if _core_quotient(mu, d)[0] == core)
         )
     return [SeriesCharLabel._trusted(s, combo) for combo in itertools.product(*per_gamma)]
 
@@ -436,6 +434,8 @@ class GenericWeightLabel(_Value):
             _, m = s.assignments[0]
             if hook not in hooks(m):
                 raise ValueError(f"{hook} is not a hook partition of {m}")
+        elif series.s != s:
+            raise ValueError("the series character must lie over the same s")
         self._fill(s, hook, series)
 
     def to_json_dict(self) -> dict:
@@ -696,8 +696,10 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
     emptiness and equal cardinality across the whole grid point.
 
     Blocks are grouped by the shape of their semisimple label (the multiset
-    of (degree, multiplicity) pairs): every quantity compared depends only
-    on the shape, so one representative per shape verifies its whole class.
+    of (degree, multiplicity) pairs).  The core table and every weight count
+    depend only on the shape of s, not on which labels realize it, so every
+    block of one representative s is checked and counts ``class_size`` times.
+    A mismatch entry names one representative block and its ``class_size``.
     """
     params = _check_grid(n, q, eps, ell)
     counts = {d: ellprime_label_count(q, eps, ell, d) for d in range(1, n + 1)}
@@ -712,47 +714,23 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
     for shape in _shape_iter(degs, counts, n):
         class_size = _shape_class_size(shape, counts)
         s_count += class_size
-        rep_s = _representative_semisimple(shape, params, n)
-        per_gamma = _choices(rep_s)
-        blocks_per_s = math.prod(len(choices) for choices in per_gamma)
-        blocks_checked += class_size * blocks_per_s
-
-        def record(rep_block: BlockLabel, copies: int) -> None:
-            nonlocal nonempty, weights_total, af_total
-            gen = generic_weights(rep_block)
-            af = af_weights(rep_block)
+        for block in _blocks_of(_representative_semisimple(shape, params, n)):
+            blocks_checked += class_size
+            gen = generic_weights(block)
+            af = af_weights(block)
             if len(gen) != len(af):
                 mismatches.append(
                     {
-                        "block": rep_block.to_json_dict(),
+                        "block": block.to_json_dict(),
                         "generic": len(gen),
                         "af": len(af),
-                        "class_size": copies,
+                        "class_size": class_size,
                     }
                 )
             if gen:
-                nonempty += copies
-                weights_total += copies * len(gen)
-                af_total += copies * len(af)
-
-        # Defect-zero blocks: independently pick a core of full size for
-        # every divisor; any such representative verifies its whole class.
-        full_cores = [
-            tuple(core for core in choices if sum(core) == m)
-            for choices, (_, m) in zip(per_gamma, rep_s.assignments)
-        ]
-        zero_blocks = math.prod(len(f) for f in full_cores)
-        if zero_blocks:
-            rep_block = BlockLabel._trusted(rep_s, tuple(f[0] for f in full_cores))
-            record(rep_block, class_size * zero_blocks)
-
-        # Positive-weight blocks: both weight sets are empty unless ell
-        # divides q - eps, where d_Gamma = 1 leaves one block per label.
-        # Verify one representative when any exists: the choices ascend in
-        # size, so the smallest cores give a block of positive weight.
-        if blocks_per_s > zero_blocks:
-            rep_block = BlockLabel._trusted(rep_s, tuple(ch[0] for ch in per_gamma))
-            record(rep_block, class_size * (blocks_per_s - zero_blocks))
+                nonempty += class_size
+                weights_total += class_size * len(gen)
+                af_total += class_size * len(af)
 
     return CountingReport(
         n,

@@ -30,7 +30,9 @@ Conventions
 * The public core, quotient and tower functions run :func:`as_partition` on
   every partition argument: a non-partition raises ``ValueError`` and a list
   is taken as its tuple.  Private helpers take checked tuples; callers that
-  walk :func:`partitions_of` use them directly.
+  walk :func:`partitions_of` use them directly.  They also take ``d = 1``,
+  which the public functions refuse: on one runner ``_core_quotient(mu, 1)``
+  is ``((), (mu,))`` and ``_is_d_core(mu, 1)`` holds only for ``()``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Tests for block and weight enumeration of GL_n(q) and GU_n(q)."""
 
+import hashlib
 import itertools
+import json
 import math
 import time
 
 import pytest
 
-from weightcomb import BoundExceededError, UnsupportedRegimeError
+from weightcomb import BoundExceededError, UnsupportedRegimeError, glblocks
 from weightcomb.arith import EllParams, d_of, ellprime_part
 from weightcomb.glblocks import (
     AFWeightLabel,
@@ -45,6 +47,8 @@ from weightcomb.glblocks import (
     _orbit,
 )
 from weightcomb.partitions import (
+    _core_quotient,
+    _is_d_core,
     d_core,
     hooks,
     is_d_core,
@@ -143,8 +147,14 @@ def test_d_gamma_frozen():
 
 
 def test_d_gamma_vs_base_parameter():
-    for q, eps, ell in [(2, 1, 3), (4, 1, 3), (2, -1, 3), (3, -1, 5), (5, 1, 2)]:
-        assert EllParams.compute(q, eps, ell).d_gamma(1) == d_of(q, eps, ell)
+    """d / gcd(d, deg) is the order of (eps*q)**deg that d_of computes from
+    scratch, at every grid (q, eps, ell) and every degree up to 12."""
+    points = {(q, eps, ell) for _, q, eps, ell in grid_points(1)}
+    assert len(points) == 38
+    for q, eps, ell in points:
+        params = EllParams.compute(q, eps, ell)
+        for deg in range(1, 13):
+            assert params.d_gamma(deg) == d_of(q**deg, eps**deg, ell), (q, eps, ell, deg)
 
 
 def test_d_gamma_errors():
@@ -422,6 +432,20 @@ def test_block_validation():
             BlockLabel(s, (kappa,))
 
 
+def test_one_runner_abacus_gives_the_empty_core():
+    """d = 1 takes the abacus path of every other d: the core on one runner
+    is empty, the quotient is mu itself, and only () is a 1-core."""
+    for n in range(9):
+        for mu in partitions_of(n):
+            assert _core_quotient(mu, 1) == ((), (mu,))
+            assert _is_d_core(mu, 1) == (mu == ())
+    s = SemisimpleLabel(4, 1, 3, 1, ((TRIVIAL, 1),))  # d = 1
+    assert s.d_gammas == (1,)
+    assert BlockLabel(s, ((),)).weights == (1,)
+    with pytest.raises(ValueError):
+        BlockLabel(s, ((1,),))
+
+
 def test_core_table_is_the_core_predicate():
     """Membership in the core table is exactly the rule it replaced: a
     d-core (only () for d = 1) of size at most m and congruent to m mod d."""
@@ -597,6 +621,31 @@ def test_shape_count_identity(ell):
         assert shape_count_identity(delta, ell)
 
 
+def test_series_label_rejects_non_partitions():
+    """Each mu_Gamma is checked as a partition, as BlockLabel checks kappa:
+    a zero or negative part, or parts out of order, are refused even where
+    they sum to the multiplicity."""
+    s = SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 2),))
+    for mu in ((0, 2), (1, 1, 0), (3, -1), (1, 2)):
+        with pytest.raises(ValueError):
+            SeriesCharLabel(s, (mu,))
+    for mu in ((2,), (1, 1)):
+        assert SeriesCharLabel(s, (mu,)).mu == (mu,)
+    with pytest.raises(ValueError):
+        SeriesCharLabel(s, ((1,),))  # |mu| = 1 differs from m = 2
+    with pytest.raises(TypeError):
+        SeriesCharLabel(s, ([2],))  # a list would make the label unhashable
+
+
+def test_generic_weight_series_must_lie_over_its_s():
+    one = SemisimpleLabel(4, 1, 3, 1, ((TRIVIAL, 1),))
+    two = SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 2),))
+    series = SeriesCharLabel(two, ((2,),))
+    assert GenericWeightLabel(two, None, series).series == series
+    with pytest.raises(ValueError):
+        GenericWeightLabel(one, None, series)
+
+
 def test_weight_label_validation():
     s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
     with pytest.raises(ValueError):
@@ -666,6 +715,36 @@ def test_verify_counting_matches_brute_force():
             r.passed,
         )
         assert got == brute, (n, q, eps, ell)
+
+
+def test_verify_counting_reports_keep_their_bytes():
+    """Every CountingReport of the n <= 6 grid, pinned by one sha256 over
+    their sorted-key JSON, point by point."""
+    digest = hashlib.sha256()
+    points = grid_points(6)
+    assert len(points) == 228
+    for point in points:
+        report = verify_counting(*point).to_json_dict()
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "db172c6ded9aa209bb63b217ebdc21436201e42a882656bc8fdb41bec76fadac"
+    )
+
+
+def test_verify_counting_checks_every_block_of_a_representative(monkeypatch):
+    """With af_weights emptied on defect-zero blocks, each representative
+    block is its own mismatch entry: at (4, 2, +, 7) seven entries, whose
+    class sizes add up to the nine nonempty blocks of the grid point."""
+    af_weights = glblocks.af_weights
+    monkeypatch.setattr(
+        glblocks, "af_weights", lambda b: () if is_defect_zero(b) else af_weights(b)
+    )
+    r = verify_counting(4, 2, 1, 7)
+    assert not r.passed
+    assert len(r.mismatches) == 7
+    assert all((m["generic"], m["af"]) == (1, 0) for m in r.mismatches)
+    assert sum(m["class_size"] for m in r.mismatches) == r.nonempty_blocks == 9
+    assert len({json.dumps(m["block"]) for m in r.mismatches}) == 7
 
 
 def test_verify_counting_report_json():
