@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import attrgetter
 
 from .errors import UnsupportedRegimeError
 
@@ -135,6 +134,11 @@ def d_of(q: int, eps: int, ell: int) -> int:
     return multiplicative_order(eps * q, modulus)
 
 
+def _order_of_power(order: int, k: int) -> int:
+    """The order of ``x**k`` for an ``x`` of order ``order``."""
+    return order // gcd(order, k)
+
+
 def _check_eps(eps: int) -> None:
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps!r}")
@@ -149,15 +153,16 @@ class _Value:
     """Base of the value classes: immutable, hashable ``__slots__`` objects,
     equal only to an object of the same class with equal compared fields.
     ``__init__`` checks its arguments, then sets the fields with :meth:`_fill`;
-    :meth:`_trusted` only fills, for values built from checked ones.  ``_args``
+    :meth:`_trusted` only sets them, for values built from checked ones.  ``_args``
     names the constructor's arguments, for repr and pickle (default: ``__slots__``);
-    ``_compared`` the fields of equality and hashing (default: ``_args``)."""
+    ``_compared`` the fields of equality and hashing (default: ``_args``).  The
+    first ``_trusted``, ``==`` or ``hash`` of a class compiles all three for its
+    fields (:meth:`_compile`) and redoes the call; an import compiles nothing."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._args = cls.__dict__.get("_args", cls.__slots__)
-        cls._key = attrgetter(*cls.__dict__.get("_compared", cls._args))
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _fill(self, *values) -> None:
@@ -165,19 +170,38 @@ class _Value:
             set_field(self, value)
 
     @classmethod
+    def _compile(cls):
+        """Set ``_trusted``, ``__eq__`` and ``__hash__`` on ``cls``, written out for its fields."""
+        values = [f"v{i}" for i in range(len(cls.__slots__))]
+        fields = cls.__dict__.get("_compared", cls._args)
+        equal = " and ".join(f"self.{f} == other.{f}" for f in fields)
+        source = (
+            f"def _trusted(cls, {', '.join(values)}):\n    self = _new(cls)\n"
+            + "".join(f"    _set_{v}(self, {v})\n" for v in values)
+            + "    return self\n"
+            "def __eq__(self, other):\n"
+            f"    if other.__class__ is self.__class__:\n        return {equal}\n"
+            "    return NotImplemented\n"
+            # "(self.a)" hashes the bare field, "(self.a, self.b)" the tuple
+            f"def __hash__(self):\n    return hash(({', '.join(f'self.{f}' for f in fields)}))\n"
+        )
+        namespace = dict(zip([f"_set_{v}" for v in values], cls._setters), _new=object.__new__)
+        exec(source, namespace)
+        cls._trusted = classmethod(namespace["_trusted"])
+        cls.__eq__ = namespace["__eq__"]
+        cls.__hash__ = namespace["__hash__"]
+        return cls
+
+    @classmethod
     def _trusted(cls, *values):
         """An instance with its slots set to ``values``, without ``__init__``."""
-        self = object.__new__(cls)
-        self._fill(*values)
-        return self
+        return cls._compile()._trusted(*values)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
-        return NotImplemented
+        return type(self)._compile().__eq__(self, other)
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        return type(self)._compile().__hash__(self)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot set or delete field {name!r}")
@@ -242,4 +266,4 @@ class EllParams(_Value):
         """``d_Gamma`` of a degree-``deg`` elementary divisor: the order of
         ``(eps*q)**deg`` modulo ``ell`` (modulo 4 when ``ell == 2``), which as
         the order of a power of ``eps*q`` is ``d / gcd(d, deg)``."""
-        return self.d // gcd(self.d, deg)
+        return _order_of_power(self.d, deg)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import PrimePower, _check_eps, _Value, d_of, ellprime_part, is_prime
+from .arith import PrimePower, _check_eps, _order_of_power, _Value, d_of, ellprime_part, is_prime
 from .errors import BoundExceededError
 
 __all__ = [
@@ -407,8 +407,9 @@ def is_ellprime(label: PolyLabel, ctx: FieldCtx, eps: int, ell: int) -> bool:
 
 
 def d_Gamma(label: PolyLabel, eps: int, ell: int, q: int) -> int:
-    """Multiplicative order of (eps*q)^deg modulo ell (modulo 4 if ell = 2)."""
-    return d_of(q**label.deg, eps**label.deg, ell)
+    """Multiplicative order of (eps*q)^deg modulo ell (modulo 4 if ell = 2):
+    as the order of a power of eps*q, d_of(q, eps, ell) / gcd(it, deg)."""
+    return _order_of_power(d_of(q, eps, ell), label.deg)
 
 
 class CentralScalar(_Value):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, total_ordering
+from operator import itemgetter
 
 from .arith import (
     EllParams,
@@ -129,6 +130,7 @@ def _orbit(a: int, den: int, step: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=4096)  # ~1.4 MB full; both actions on all of (4, 9, +, 5) take 1,139
 def _label(num: int, den: int, step: int) -> FracLabel:
     """Canonical label of the multiply-by-step orbit through num/den."""
     g = math.gcd(num, den)
@@ -219,7 +221,8 @@ class SemisimpleLabel(_Value):
     part in repr, equality or hashing.  The constructor checks, in this order,
     a valid (q, eps, ell), distinct divisors, multiplicities >= 1, sorted
     divisors, orbit labels and the degree sum; the labels the module
-    enumerates or moves by an action skip the checks (:func:`_semisimple`)."""
+    enumerates or moves by an action skip the checks, and take d_Gamma from
+    the label table or from the label they were moved from."""
 
     __slots__ = ("q", "eps", "ell", "n", "assignments", "params", "d_gammas")
     _args = __slots__[:5]
@@ -258,14 +261,6 @@ def _d_gammas(params: EllParams, assignments: tuple) -> tuple[int, ...]:
     return tuple(params.d_gamma(lab.deg) for lab, _ in assignments)
 
 
-def _semisimple(params: EllParams, n: int, assignments: tuple) -> SemisimpleLabel:
-    """The semisimple label of assignments the module built itself: distinct
-    orbit labels, sorted, with multiplicities >= 1 and degrees summing to n."""
-    return SemisimpleLabel._trusted(
-        params.q, params.eps, params.ell, n, assignments, params, _d_gammas(params, assignments)
-    )
-
-
 def _assignments(labels: tuple[FracLabel, ...], start: int, remaining: int):
     """Yield tuples ((index, multiplicity), ...) over distinct labels with
     index >= start, multiplicities >= 1, total weighted degree = remaining."""
@@ -282,11 +277,16 @@ def _assignments(labels: tuple[FracLabel, ...], start: int, remaining: int):
 
 
 def semisimple_labels(n: int, q: int, eps: int, ell: int) -> list[SemisimpleLabel]:
-    """All semisimple ell'-labels of GL_n / GU_n at the grid point."""
+    """All semisimple ell'-labels of GL_n / GU_n at the grid point, each
+    built unchecked with d_Gamma read from one list aligned with the labels."""
     params = _check_grid(n, q, eps, ell)
     labels = ellprime_labels(q, eps, ell, n)
+    d_gammas = [params.d_gamma(lab.deg) for lab in labels]
     return [
-        _semisimple(params, n, tuple((labels[i], m) for i, m in chosen))
+        SemisimpleLabel._trusted(
+            q, eps, ell, n, tuple((labels[i], m) for i, m in chosen), params,
+            tuple(d_gammas[i] for i, _ in chosen),
+        )
         for chosen in _assignments(labels, 0, n)
     ]
 
@@ -558,15 +558,21 @@ def _act_label(action, lab: FracLabel, params: EllParams) -> FracLabel:
 
 
 def _relabel(action, s: SemisimpleLabel, carried: tuple) -> tuple:
-    """Move every elementary divisor of s by the action and re-sort, carrying
-    the entry of ``carried`` aligned with each divisor."""
+    """Move every elementary divisor of s by the action and re-sort by image,
+    carrying its multiplicity, its d_Gamma (an action keeps degrees) and the
+    entry of ``carried`` aligned with it."""
     params = s.params
-    moved = sorted(
-        ((_act_label(action, lab, params), m), entry)
-        for (lab, m), entry in zip(s.assignments, carried)
+    moved = [
+        (_act_label(action, lab, params), m, d, entry)
+        for (lab, m), d, entry in zip(s.assignments, s.d_gammas, carried)
+    ]
+    if len(moved) > 1:
+        moved.sort(key=itemgetter(0))  # the action is injective: images never tie
+    images, mults, d_gammas, entries = zip(*moved)
+    new_s = SemisimpleLabel._trusted(
+        params.q, params.eps, params.ell, s.n, tuple(zip(images, mults)), params, d_gammas
     )
-    new_s = _semisimple(params, s.n, tuple(p for p, _ in moved))
-    return new_s, tuple(entry for _, entry in moved)
+    return new_s, entries
 
 
 def act_on_semisimple(action, s: SemisimpleLabel) -> SemisimpleLabel:
@@ -688,7 +694,10 @@ def _representative_semisimple(shape, params: EllParams, n: int) -> SemisimpleLa
                 f"need {len(mults)}, found {len(reps)}"
             )
         pairs.extend(zip(reps, mults))
-    return _semisimple(params, n, tuple(sorted(pairs)))
+    pairs.sort()
+    return SemisimpleLabel._trusted(
+        params.q, params.eps, params.ell, n, tuple(pairs), params, _d_gammas(params, pairs)
+    )
 
 
 def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:

@@ -20,7 +20,8 @@ Conventions
   and the quotient of each slot off one abacus pass.
 * :func:`cores_of_size` builds sparse cores from the lowest empty position
   of each runner (Garvan-Kim-Stanton charge vectors), pruned by size; where
-  cores are dense (``d * d > 2 * k``) it still walks ``partitions_of(k)``.
+  cores are dense (``d * d > 2 * k``, or ``k < d``) it walks
+  ``partitions_of(k)``, under the bound of a listing of every partition.
 * The split ``mu -> (core, quotient)`` and its inverse each sit behind an
   ``lru_cache`` bounded at ``_SPLIT_CACHE_SIZE`` entries, so a sub-partition
   that recurs across towers is split once per process.
@@ -268,11 +269,14 @@ def cores_of_size(k: int, d: int) -> tuple[Partition, ...]:
     sparse and :func:`_sparse_cores` builds them at a cost that follows their
     number, not ``p(k)``.  Elsewhere they are dense, and the bead test filters
     ``partitions_of(k)``: the search's dead ends grow faster in ``d`` (at
-    ``k = 30`` it is slower from ``d = 10`` on, 70 times at ``d = 29``)."""
+    ``k = 30`` it is slower from ``d = 10`` on, 70 times at ``d = 29``).
+    Both dense branches take the bound of a listing of every partition of
+    ``k`` (so ``k <= 44``), and raise :class:`BoundExceededError` past it."""
     _check_base("d", d)
-    if k < d:
-        return partitions_of(k)
-    if d * d > 2 * k:
+    if k < d or d * d > 2 * k:
+        _check_listing(k, every=True)
+        if k < d:
+            return partitions_of(k)
         return tuple(mu for mu in partitions_of(k) if _is_d_core(mu, d))
     return tuple(sorted(_sparse_cores(k, d), reverse=True))
 

@@ -1,11 +1,12 @@
 """Tests for finite fields, irreducible enumeration, and the label calculus."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from weightcomb import BoundExceededError
-from weightcomb.arith import d_of, divisors
+from weightcomb.arith import EllParams, d_of, divisors
 from weightcomb.ffpoly import (
     CentralScalar,
     F_set,
@@ -418,6 +419,26 @@ def test_d_Gamma_examples():
     assert d_Gamma(two2, 1, 3, 2) == 1  # 4 = 1 mod 3
     with pytest.raises(ValueError):
         d_Gamma(deg1_label, 1, 2, 4)  # ell | q
+
+
+def test_d_Gamma_is_the_order_of_the_power():
+    """d_Gamma, taken as the order of a power of eps*q, equals d_of run on the
+    power itself for every q < 50 that ell does not divide, a prime power or
+    not; so does EllParams.d_gamma wherever the triple is valid.  d_Gamma
+    reads only the degree of its label, so a stand-in carries it."""
+    for q in range(2, 50):
+        for eps in (1, -1):
+            for ell in (2, 3, 5, 7, 11, 13):
+                if q % ell == 0:
+                    continue
+                try:
+                    params = EllParams.compute(q, eps, ell)
+                except ValueError:  # q not a prime power, or ell = 2 off its regime
+                    params = None
+                for deg in range(1, 13):
+                    expected = d_of(q**deg, eps**deg, ell)
+                    assert d_Gamma(SimpleNamespace(deg=deg), eps, ell, q) == expected
+                    assert params is None or params.d_gamma(deg) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -859,6 +859,53 @@ def test_equivariance_of_weight_bijection():
             )
 
 
+def _reference_relabel(action, s, carried):
+    """The image of s under the action, and ``carried`` permuted along,
+    rebuilt through the public constructors from the uncached orbit walk."""
+    q, eps = s.q, s.eps
+    moved = []
+    for (lab, m), entry in zip(s.assignments, carried):
+        if action == "frob":
+            num, den = lab.num * s.params.p, lab.den
+        else:
+            num, den = lab.num * (q - eps) + action * lab.den, lab.den * (q - eps)
+        image = _label.__wrapped__(num, den, eps * q)
+        moved.append(((FracLabel(image.deg, image.den, image.num), m), entry))
+    moved.sort(key=lambda item: item[0])
+    new_s = SemisimpleLabel(q, eps, s.ell, s.n, tuple(pair for pair, _ in moved))
+    return new_s, tuple(entry for _, entry in moved)
+
+
+@pytest.mark.parametrize("point", [(4, 7, -1, 3), (3, 7, -1, 2)])
+def test_act_on_block_matches_the_uncached_reference(point):
+    """Every block under every central element and the Frobenius: the image
+    equals the one the public constructors build from the uncached orbit
+    walk, and the d_Gamma it carries over equals d_Gamma recomputed.  A
+    sample of series characters and every weight label move alike."""
+    _, q, eps, _ = point
+    every_block = blocks(*point)
+    actions = [*range(q - eps), "frob"]
+    for i, b in enumerate(every_block):
+        for action in actions:
+            ref_s, ref_kappa = _reference_relabel(action, b.s, b.kappa)
+            moved = act_on_block(action, b)
+            assert moved == BlockLabel(ref_s, ref_kappa), (b, action)
+            assert moved.s.d_gammas == ref_s.d_gammas
+            assert moved.s.d_gammas == glblocks._d_gammas(moved.s.params, moved.s.assignments)
+            if i % 50 == 0:
+                for chi in block_irr(b)[:3]:
+                    _, ref_mu = _reference_relabel(action, chi.s, chi.mu)
+                    assert act_on_series(action, chi) == SeriesCharLabel(ref_s, ref_mu)
+            for w in generic_weights(b):
+                series = w.series and SeriesCharLabel(ref_s, ref_kappa)  # mu = kappa there
+                assert act_on_weight(action, w) == GenericWeightLabel(ref_s, w.hook, series)
+            for w in af_weights(b):
+                assert act_on_weight(action, w) == AFWeightLabel(
+                    ref_s, w.gamma_exp, w.c_seq, w.psi_index, w.m_basic, w.alpha
+                )
+    assert any(generic_weights(b) for b in every_block)
+
+
 # ---------------------------------------------------------------------------
 # Covered blocks.
 

@@ -294,6 +294,20 @@ def test_cores_of_size_walks_partitions_only_where_dense(monkeypatch):
     assert time.perf_counter() - start < 1.0 and walked == [30, 5]
 
 
+def test_dense_core_tables_are_bounded_like_listings():
+    """Both dense branches walk every partition of k, so from k = 45 on (k * p(k)
+    cells past the listing bound) they raise before enumerating; the sparse
+    side has no such bound."""
+    fresh = cores_of_size.__wrapped__  # past the cache
+    start = time.perf_counter()
+    for k, d in ((100, 50), (100, 101), (45, 10), (45, 46)):  # d * d > 2k, then k < d
+        with pytest.raises(BoundExceededError, match="every partition of"):
+            fresh(k, d)
+    assert time.perf_counter() - start < 1.0
+    assert fresh(45, 9)  # 9 * 9 <= 90: generated, with no bound
+    assert fresh(44, 45) == partitions_of(44)  # 44 * p(44) is within the bound
+
+
 @pytest.mark.parametrize(
     "args, message", [((-1, 2), "n must be >= 0, got -1"), ((3, 1), "d must be >= 2, got 1")]
 )

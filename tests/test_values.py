@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from weightcomb.arith import EllParams, PrimePower
+from weightcomb.arith import EllParams, PrimePower, _Value
 from weightcomb.ffpoly import CentralScalar, FieldCtx, Poly, PolyLabel, ctx_for
 from weightcomb.glblocks import (
     AFWeightLabel,
@@ -152,3 +152,68 @@ def test_fields_outside_comparison_stay_outside():
     assert AFWeightLabel(_s(), 1, (), (0, ())) != plain
     s = _s(2)
     assert "params" not in repr(s) and "d_gammas" not in repr(s)
+
+
+VALUE_CLASSES = sorted(_Value.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+def test_every_value_class_has_a_builder():
+    assert [cls.__name__ for cls in VALUE_CLASSES] == sorted(BUILDERS)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_trusted_equals_and_hashes_like_the_public_constructor(cls):
+    public = BUILDERS[cls.__name__][0]()
+    fields = [getattr(public, name) for name in cls.__slots__]
+    trusted = cls._trusted(*fields)
+    assert type(trusted) is cls
+    assert [getattr(trusted, name) for name in cls.__slots__] == fields
+    assert trusted == public and public == trusted and not trusted != public
+    assert hash(trusted) == hash(public)
+
+
+def _pair_class():
+    """A value class of its own, so that none of its methods is compiled yet."""
+
+    class Pair(_Value):
+        __slots__ = ("a", "b", "note")
+        _compared = ("a", "b")
+
+        def __init__(self, a, b, note=None):
+            self._fill(a, b, note)
+
+    return Pair
+
+
+def _answers(Pair, use):
+    x, y, z = Pair(1, (2,)), Pair(1, (2,), "noted"), Pair(1, (3,))
+    if use == "eq":
+        return [x == y, y == x, x == z, x != y, x != z]
+    if use == "hash":
+        return [hash(x), hash(y), hash(z)]
+    made = Pair._trusted(1, (2,), "noted")
+    return [type(made), made.a, made.b, made.note, made == x]
+
+
+@pytest.mark.parametrize("use", ["eq", "hash", "trusted"])
+def test_first_use_compiles_and_answers_like_later_calls(use):
+    Pair = _pair_class()
+    compiled = {"_trusted", "__eq__", "__hash__"}
+    assert not compiled & set(vars(Pair))  # nothing is compiled at class creation
+    first = _answers(Pair, use)
+    assert compiled <= set(vars(Pair))
+    assert first == _answers(Pair, use)
+    expected = {
+        "eq": [True, True, False, False, True],
+        "hash": [hash((1, (2,))), hash((1, (2,))), hash((1, (3,)))],
+        "trusted": [Pair, 1, (2,), "noted", True],
+    }
+    assert first == expected[use]
+
+
+def test_compiled_equality_stays_class_strict():
+    Pair, Twin = _pair_class(), _pair_class()
+    for _ in range(2):  # before and after the first use compiles
+        assert Pair(1, (2,)) != Twin(1, (2,)) and not Pair(1, (2,)) == Twin(1, (2,))
+        assert Pair(1, (2,)) != (1, (2,)) and Pair(1, (2,)) != (1, (2,), None)
+        assert len({Pair(1, (2,)), Twin(1, (2,))}) == 2
