@@ -154,10 +154,10 @@ class _Value:
     equal only to an object of the same class with equal compared fields.
     ``__init__`` checks its arguments, then sets the fields with :meth:`_fill`;
     :meth:`_trusted` only sets them, for values built from checked ones.  ``_args``
-    names the constructor's arguments, for repr and pickle (default: ``__slots__``);
-    ``_compared`` the fields of equality and hashing (default: ``_args``).  The
-    first ``_trusted``, ``==`` or ``hash`` of a class compiles all three for its
-    fields (:meth:`_compile`) and redoes the call; an import compiles nothing."""
+    names the constructor's arguments (default: ``__slots__``): the fields of
+    repr, pickle, equality and hashing; the other slots are derived from them.
+    The first ``_trusted``, ``==`` or ``hash`` of a class compiles all three for
+    its fields (:meth:`_compile`) and redoes the call; an import compiles nothing."""
 
     __slots__ = ()
 
@@ -173,7 +173,7 @@ class _Value:
     def _compile(cls):
         """Set ``_trusted``, ``__eq__`` and ``__hash__`` on ``cls``, written out for its fields."""
         values = [f"v{i}" for i in range(len(cls.__slots__))]
-        fields = cls.__dict__.get("_compared", cls._args)
+        fields = cls._args
         equal = " and ".join(f"self.{f} == other.{f}" for f in fields)
         source = (
             f"def _trusted(cls, {', '.join(values)}):\n    self = _new(cls)\n"

@@ -12,13 +12,14 @@ and the image is found by walking the new numerator's orbit modulo its
 denominator.
 
 On top of the labels the module enumerates Lusztig series characters, block
-labels (s, kappa), the generic weights of a block, the Alperin-style weight
-labels built from shapes (gamma, c-sequence) with their defect-zero index
-sets, and the hook classification of generalized-cuspidal unipotent
-characters in type A.  A block label holds only (s, kappa); its weights are
-derived, and one cached per-divisor core table lists the valid kappa.  One
-walk over that table yields the blocks of s, for :func:`blocks` and for
-:func:`verify_counting`, which checks every block of one s per shape class.
+labels (s, kappa), the generic weights of a block, its Alperin-style weight
+labels (slots: a shape (gamma, c-sequence) with gamma + |c| = delta, a
+residue r < d_Gamma and one psi entry below ell - 1 per c part), and the
+hook classification of generalized-cuspidal unipotent characters in type A.
+A block label holds only (s, kappa); its weights are derived, and one cached
+per-divisor core table lists the valid kappa.  One walk over that table
+yields the blocks of s, for :func:`blocks` and for :func:`verify_counting`,
+which checks every block of one s per shape class.
 d_Gamma = 1 takes the abacus path of every other d: one runner, empty core.
 
 Values are checked once, where they enter: the public constructors check
@@ -406,11 +407,10 @@ def is_defect_zero(block: BlockLabel) -> bool:
     return all(w == 0 for w in block.weights) and block.s.params.d != 1
 
 
-def _positive_defect_case(block: BlockLabel) -> int | None:
-    """The exponent delta when the block is the full series union of a
-    single elementary divisor with ell-power multiplicity and ell | (q - eps);
+def _positive_defect_case(s: SemisimpleLabel) -> int | None:
+    """The exponent delta when ell | (q - eps) and s is a single elementary
+    divisor of multiplicity ell**delta, so that its blocks have hook weights;
     None otherwise."""
-    s = block.s
     if s.params.d != 1 or len(s.assignments) != 1:
         return None
     _, m = s.assignments[0]
@@ -421,7 +421,8 @@ def _positive_defect_case(block: BlockLabel) -> int | None:
 
 class GenericWeightLabel(_Value):
     """A generic weight: a hook partition of the multiplicity (positive
-    defect case) or the block's unique series character (defect zero)."""
+    defect case) or the block's unique series character (defect zero: each
+    mu_Gamma a d_Gamma-core, so d != 1).  The constructor takes only these."""
 
     __slots__ = ("s", "hook", "series")
 
@@ -429,13 +430,15 @@ class GenericWeightLabel(_Value):
         if (hook is None) == (series is None):
             raise ValueError("exactly one of hook and series must be set")
         if hook is not None:
-            if len(s.assignments) != 1:
-                raise ValueError("hook labels require a single elementary divisor")
+            if _positive_defect_case(s) is None:
+                raise ValueError("hooks need d = 1 and one divisor of ell-power multiplicity")
             _, m = s.assignments[0]
             if hook not in hooks(m):
                 raise ValueError(f"{hook} is not a hook partition of {m}")
         elif series.s != s:
             raise ValueError("the series character must lie over the same s")
+        elif not all(map(_is_d_core, series.mu, s.d_gammas)):
+            raise ValueError("a series weight is the character of a defect-zero block")
         self._fill(s, hook, series)
 
     def to_json_dict(self) -> dict:
@@ -452,32 +455,54 @@ def generic_weights(block: BlockLabel) -> tuple[GenericWeightLabel, ...]:
     if is_defect_zero(block):
         series = SeriesCharLabel._trusted(s, block.kappa)
         return (GenericWeightLabel._trusted(s, None, series),)
-    if _positive_defect_case(block) is None:
+    if _positive_defect_case(s) is None:
         return ()
     _, m = s.assignments[0]
     return tuple(GenericWeightLabel._trusted(s, h, None) for h in hooks(m))
 
 
+def _shapes(delta: int):
+    """Yield the shapes (gamma, c_seq) with gamma + |c_seq| = delta: gamma
+    descending, then c_seq over the compositions of delta - gamma."""
+    for gamma in range(delta, -1, -1):
+        for c_seq in compositions(delta - gamma):
+            yield gamma, c_seq
+
+
+def _slots(d_gamma: int, delta: int, ell: int):
+    """Yield the d_gamma * ell**delta slots (gamma, c_seq, (residue, psi)) of
+    level delta: per shape, each residue below d_gamma, then each psi holding
+    one entry in range(ell - 1) per c part."""
+    for gamma, c_seq in _shapes(delta):
+        for residue in range(d_gamma):
+            for psi in itertools.product(range(ell - 1), repeat=len(c_seq)):
+                yield gamma, c_seq, (residue, psi)
+
+
 class AFWeightLabel(_Value):
-    """A weight label built from a local-subgroup shape: gamma_exp copies of
-    the extraspecial layer, a composition c_seq of wreath layers, and an
-    index psi_index into the d_Gamma * (ell-1)**len(c_seq) defect-zero
-    characters of the local quotient.  ``m_basic`` and ``alpha`` take no
-    part in equality or hashing."""
+    """An Alperin-style weight label: a slot (gamma_exp, c_seq, psi_index)
+    naming gamma_exp copies of the extraspecial layer, a composition c_seq of
+    wreath layers and one of the d_Gamma * (ell-1)**len(c_seq) defect-zero
+    characters psi_index = (residue, psi) of the local quotient.  It takes what
+    :func:`af_weights` lists over s: a slot of level delta where s has a delta."""
 
-    __slots__ = ("s", "gamma_exp", "c_seq", "psi_index", "m_basic", "alpha")
-    _compared = __slots__[:4]
+    __slots__ = ("s", "gamma_exp", "c_seq", "psi_index")
 
-    def __init__(
-        self, s: SemisimpleLabel, gamma_exp: int, c_seq: tuple[int, ...], psi_index: tuple,
-        m_basic: int | None = None, alpha: int | None = None,
-    ):
+    def __init__(self, s: SemisimpleLabel, gamma_exp: int, c_seq: tuple, psi_index: tuple):
+        hash((c_seq, psi_index))  # a label is hashed with its slot: refuse a list at once
+        delta = _positive_defect_case(s)
+        # without a delta, the one label is (0, (), (0, ())): level 0 at d_Gamma = 1
+        level, d_gamma = (0, 1) if delta is None else (delta, s.d_gammas[0])
+        r, psi = psi_index
         if gamma_exp < 0 or any(c < 1 for c in c_seq):
             raise ValueError("shape parts must be a nonnegative gamma and positive c's")
-        r, vec = psi_index
-        if r < 0 or len(vec) != len(c_seq):
-            raise ValueError("psi index must pair a residue with one value per c part")
-        self._fill(s, gamma_exp, c_seq, psi_index, m_basic, alpha)
+        if gamma_exp + sum(c_seq) != level:
+            raise ValueError(f"gamma + |c| = {gamma_exp + sum(c_seq)} differs from {level}")
+        if not 0 <= r < d_gamma:
+            raise ValueError(f"residue {r} is not below d_Gamma = {d_gamma}")
+        if len(psi) != len(c_seq) or any(not 0 <= x < s.ell - 1 for x in psi):
+            raise ValueError(f"psi must hold one entry below {s.ell - 1} per c part")
+        self._fill(s, gamma_exp, c_seq, psi_index)
 
     def to_json_dict(self) -> dict:
         return {
@@ -491,50 +516,25 @@ class AFWeightLabel(_Value):
 
 def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
     """Alperin-style weight labels of the block: the trivial-subgroup label
-    at defect zero; all shapes (gamma, c) with gamma + |c| = delta and their
-    psi indices when ell | (q - eps) and s is a single divisor with
-    multiplicity ell**delta; nothing otherwise."""
+    at defect zero; every slot of level delta when ell | (q - eps) and s is
+    a single divisor with multiplicity ell**delta; nothing otherwise."""
     s = block.s
     if is_defect_zero(block):
-        return (AFWeightLabel._trusted(s, 0, (), (0, ()), None, None),)
-    delta = _positive_defect_case(block)
+        return (AFWeightLabel._trusted(s, 0, (), (0, ())),)
+    delta = _positive_defect_case(s)
     if delta is None:
         return ()
-    lab, _ = s.assignments[0]
-    ell = s.ell
-    d = s.params.d
-    d_gam = s.d_gammas[0]
-    scaled = d_gam * lab.deg
-    if scaled % d:
-        raise AssertionError(f"d={d} does not divide d_Gamma*deg={scaled}")
-    alpha = valuation(scaled // d, ell)
-    m_basic = (scaled // d) // ell**alpha
-    out: list[AFWeightLabel] = []
-    for gamma_exp in range(delta, -1, -1):
-        for c_seq in compositions(delta - gamma_exp):
-            for residue in range(d_gam):
-                for vec in itertools.product(range(ell - 1), repeat=len(c_seq)):
-                    out.append(
-                        AFWeightLabel._trusted(
-                            s, gamma_exp, c_seq, (residue, vec), m_basic, alpha
-                        )
-                    )
-    return tuple(out)
+    return tuple(AFWeightLabel._trusted(s, *slot) for slot in _slots(s.d_gammas[0], delta, s.ell))
 
 
 def shape_count_identity(delta: int, ell: int) -> bool:
     """Whether the shape sum over gamma + |c| = delta of (ell-1)**len(c)
-    equals ell**delta."""
+    equals ell**delta, the number of slots of level delta at d_Gamma = 1."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
-    total = sum(
-        (ell - 1) ** len(c_seq)
-        for gamma_exp in range(delta + 1)
-        for c_seq in compositions(delta - gamma_exp)
-    )
-    return total == ell**delta
+    return sum((ell - 1) ** len(c_seq) for _, c_seq in _shapes(delta)) == ell**delta
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +598,7 @@ def act_on_weight(action, label):
         return GenericWeightLabel._trusted(act_on_semisimple(action, label.s), label.hook, series)
     if isinstance(label, AFWeightLabel):
         return AFWeightLabel._trusted(
-            act_on_semisimple(action, label.s), label.gamma_exp, label.c_seq,
-            label.psi_index, label.m_basic, label.alpha,
+            act_on_semisimple(action, label.s), label.gamma_exp, label.c_seq, label.psi_index
         )
     raise ValueError(f"not a weight label: {label!r}")
 
@@ -608,7 +607,7 @@ def covered_blocks(block: BlockLabel) -> int:
     """Number of special-subgroup blocks covered: the count of central
     elements of ell'-order fixing the block.  Requires a block with
     nonempty weight sets (defect zero or the single-divisor ell-power case)."""
-    if not is_defect_zero(block) and _positive_defect_case(block) is None:
+    if not is_defect_zero(block) and _positive_defect_case(block.s) is None:
         raise ValueError("covered-block count requires a block with nonempty weights")
     s = block.s
     z_order = s.q - s.eps

@@ -584,7 +584,6 @@ def test_af_weights_delta_one():
         (0, (1,), (0, (0,))),
         (0, (1,), (0, (1,))),
     ]
-    assert all(w.m_basic == 1 and w.alpha == 0 for w in out)
 
 
 def test_af_weights_delta_two_shape_histogram():
@@ -599,7 +598,7 @@ def test_af_weights_delta_two_shape_histogram():
 
 
 def test_af_weights_base_scale_data():
-    # single degree-3 divisor with m = 1 at ell | q - eps: deg = m_basic * ell^alpha
+    # single degree-3 divisor with m = 1 at ell | q - eps: delta = 0, d_Gamma = 1
     found = None
     for b in blocks(3, 4, 1, 3):
         if len(b.s.assignments) == 1 and b.s.assignments[0][0].deg == 3:
@@ -607,7 +606,7 @@ def test_af_weights_base_scale_data():
             break
     assert found is not None
     (label,) = af_weights(found)
-    assert label.alpha == 1 and label.m_basic == 1
+    assert (label.gamma_exp, label.c_seq, label.psi_index) == (0, (), (0, ()))
 
 
 def test_counts_match_all_cases():
@@ -638,30 +637,123 @@ def test_series_label_rejects_non_partitions():
 
 
 def test_generic_weight_series_must_lie_over_its_s():
-    one = SemisimpleLabel(4, 1, 3, 1, ((TRIVIAL, 1),))
-    two = SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 2),))
-    series = SeriesCharLabel(two, ((2,),))
-    assert GenericWeightLabel(two, None, series).series == series
+    # at (9, +, 5), d = 2 and (1) is a 2-core: the series of a defect-zero block
+    trivial = SemisimpleLabel(9, 1, 5, 1, ((TRIVIAL, 1),))
+    half = SemisimpleLabel(9, 1, 5, 1, ((FracLabel(1, 2, 1), 1),))
+    series = SeriesCharLabel(trivial, ((1,),))
+    assert GenericWeightLabel(trivial, None, series).series == series
     with pytest.raises(ValueError):
-        GenericWeightLabel(one, None, series)
+        GenericWeightLabel(half, None, series)
 
 
 def test_weight_label_validation():
     s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
     with pytest.raises(ValueError):
         GenericWeightLabel(s, (2, 2), None)  # not a hook
-    two = SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 2),))
-    assert GenericWeightLabel(two, (1, 1), None).hook == (1, 1)
+    assert GenericWeightLabel(s, (1, 1, 1), None).hook == (1, 1, 1)
     with pytest.raises(ValueError):
-        GenericWeightLabel(two, (0, 1, 1), None)  # sums to 2, not a partition
+        GenericWeightLabel(s, (0, 1, 1, 1), None)  # sums to 3, not a partition
     with pytest.raises(ValueError):
         GenericWeightLabel(s, None, None)
     with pytest.raises(ValueError):
-        AFWeightLabel(s, -1, (), (0, ()))
+        AFWeightLabel(s, -1, (2,), (0, (0,)))  # gamma < 0, gamma + |c| = delta = 1
     with pytest.raises(ValueError):
-        AFWeightLabel(s, 1, (2, 0), (0, (0, 0)))
+        AFWeightLabel(s, 1, (0,), (0, (0,)))  # a c part of 0
     with pytest.raises(ValueError):
-        AFWeightLabel(s, 1, (2,), (0, ()))  # psi vector length mismatch
+        AFWeightLabel(s, 0, (1,), (0, ()))  # psi vector length mismatch
+
+
+# Over s = (0/1)^3 at (4, +, 3), where delta = 1, d_Gamma = 1 and ell - 1 = 2,
+# labels that break exactly one slot rule of the AFWeightLabel constructor
+# (test_weight_label_validation breaks the shape-part and psi-length rules).
+AF_RULE_BREAKERS = {
+    "gamma + |c| above delta": (1, (1,), (0, (0,))),
+    "gamma + |c| below delta": (0, (), (0, ())),
+    "residue below 0": (0, (1,), (-1, (0,))),
+    "residue at d_Gamma": (0, (1,), (1, (0,))),
+    "psi longer than c": (1, (), (0, (0,))),
+    "psi entry below 0": (0, (1,), (0, (-1,))),
+    "psi entry at ell - 1": (0, (1,), (0, (2,))),
+}
+
+
+@pytest.mark.parametrize("rule", AF_RULE_BREAKERS)
+def test_af_label_breaking_one_rule_is_refused(rule):
+    s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
+    with pytest.raises(ValueError):
+        AFWeightLabel(s, *AF_RULE_BREAKERS[rule])
+
+
+def test_weight_labels_no_block_lists_are_refused():
+    """Labels that built before the constructors took only what some block
+    lists: two AF labels off the slots of (0/1)^3 at (4, +, 3), hooks over an
+    s without hook weights (2 is not a power of 3; d = 2 at 9 mod 5; two
+    divisors), and series characters of no defect-zero block."""
+    s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
+    for args in ((0, (1,), (99, (99,))), (5, (7,), (0, (0,)))):
+        with pytest.raises(ValueError):
+            AFWeightLabel(s, *args)
+    for s, hook in (
+        (SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 2),)), (1, 1)),
+        (SemisimpleLabel(9, 1, 5, 2, ((TRIVIAL, 2),)), (2,)),
+        (SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 1), (FracLabel(1, 3, 1), 1))), (1,)),
+    ):
+        with pytest.raises(ValueError):
+            GenericWeightLabel(s, hook, None)
+    # series characters of no defect-zero block: (2) is neither a 1-core nor a 2-core
+    for q, ell in ((4, 3), (9, 5)):
+        s = SemisimpleLabel(q, 1, ell, 2, ((TRIVIAL, 2),))
+        with pytest.raises(ValueError):
+            GenericWeightLabel(s, None, SeriesCharLabel(s, ((2,),)))
+
+
+def test_af_label_without_delta_is_the_defect_zero_one():
+    s = SemisimpleLabel(9, 1, 5, 2, ((TRIVIAL, 2),))  # d = 2: no delta
+    assert AFWeightLabel(s, 0, (), (0, ())).psi_index == (0, ())
+    for args in ((1, (), (0, ())), (0, (1,), (0, (0,))), (0, (), (1, ())), (0, (), (0, (0,)))):
+        with pytest.raises(ValueError):
+            AFWeightLabel(s, *args)
+
+
+def test_af_label_refuses_lists_at_once():
+    s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
+    for args in ((0, [1], (0, (0,))), (0, (1,), (0, [0])), (0, (1,), [0, (0,)])):
+        with pytest.raises(TypeError):
+            AFWeightLabel(s, *args)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_slots_are_distinct_and_count_d_ell_to_the_delta(ell):
+    for d_gamma in range(1, 4):
+        for delta in range(5):
+            slots = list(glblocks._slots(d_gamma, delta, ell))
+            assert len(set(slots)) == len(slots) == d_gamma * ell**delta
+
+
+def weight_round_trips(point):
+    """Rebuild every listed weight label of the grid point, and its images
+    under an ell'-order central shift, an ell-power-order central shift and
+    the Frobenius, through its public constructor; each must equal the label
+    the library built unchecked.  Returns the number of labels rebuilt."""
+    _, q, eps, ell = point
+    z_order = q - eps
+    ellprime = ellprime_part(z_order, ell)
+    # the shift by k has order z_order / gcd(k, z_order)
+    actions = (z_order // ellprime, ellprime, "frob")
+    rebuilt = 0
+    for b in blocks(*point):
+        for w in (*generic_weights(b), *af_weights(b)):
+            for label in (w, *(act_on_weight(action, w) for action in actions)):
+                again = type(label)(*(getattr(label, name) for name in type(label)._args))
+                assert again == label, (point, label)
+                rebuilt += 1
+    return rebuilt
+
+
+def test_listed_weight_labels_rebuild_through_their_constructors():
+    """Every n <= 3 point and every sixth n = 4 point; CI takes all n <= 4."""
+    points = grid_points(3) + [p for p in grid_points(4) if p[0] == 4][::6]
+    assert sum(weight_round_trips(p) for p in points) == 54_768
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +993,7 @@ def test_act_on_block_matches_the_uncached_reference(point):
                 assert act_on_weight(action, w) == GenericWeightLabel(ref_s, w.hook, series)
             for w in af_weights(b):
                 assert act_on_weight(action, w) == AFWeightLabel(
-                    ref_s, w.gamma_exp, w.c_seq, w.psi_index, w.m_basic, w.alpha
+                    ref_s, w.gamma_exp, w.c_seq, w.psi_index
                 )
     assert any(generic_weights(b) for b in every_block)
 

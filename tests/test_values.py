@@ -34,6 +34,11 @@ def _s(n=1):
     return SemisimpleLabel(9, 1, 5, n, ((TRIVIAL, n),))
 
 
+def _s_d1():
+    """An s whose blocks have hook weights: d = 1 and multiplicity 3**0."""
+    return SemisimpleLabel(4, 1, 3, 1, ((TRIVIAL, 1),))
+
+
 def _poly():
     return Poly(ctx_for(3).base, (1, 1))
 
@@ -63,8 +68,8 @@ BUILDERS = {
     "SemisimpleLabel": (_s, "assignments"),
     "SeriesCharLabel": (lambda: SeriesCharLabel(_s(), ((1,),)), "mu"),
     "BlockLabel": (lambda: BlockLabel(_s(), ((1,),)), "kappa"),
-    "GenericWeightLabel": (lambda: GenericWeightLabel(_s(), (1,), None), "hook"),
-    "AFWeightLabel": (lambda: AFWeightLabel(_s(), 0, (), (0, ())), "m_basic"),
+    "GenericWeightLabel": (lambda: GenericWeightLabel(_s_d1(), (1,), None), "hook"),
+    "AFWeightLabel": (lambda: AFWeightLabel(_s(), 0, (), (0, ())), "psi_index"),
     "CountingReport": (lambda: CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True), "mismatches"),
     "HookEGC": (lambda: HookEGC("hooks", ((2,), (1, 1))), "mode"),
 }
@@ -124,7 +129,7 @@ def test_keyword_construction_and_defaults():
     assert report.mismatches == ()
     assert report == CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True, ())
     weight = AFWeightLabel(s=_s(), gamma_exp=0, c_seq=(), psi_index=(0, ()))
-    assert weight.m_basic is None and weight.alpha is None
+    assert weight == AFWeightLabel(_s(), 0, (), (0, ()))
     assert PrimePower(p=3, f=2, q=9) == PrimePower.from_q(9)
     with pytest.raises(TypeError):
         PrimePower(3, 2)
@@ -145,11 +150,6 @@ def test_frac_label_ordering():
 
 
 def test_fields_outside_comparison_stay_outside():
-    plain = AFWeightLabel(_s(), 0, (), (0, ()))
-    tagged = AFWeightLabel(_s(), 0, (), (0, ()), m_basic=4, alpha=1)
-    assert plain == tagged and hash(plain) == hash(tagged)
-    assert "m_basic=4, alpha=1" in repr(tagged)
-    assert AFWeightLabel(_s(), 1, (), (0, ())) != plain
     s = _s(2)
     assert "params" not in repr(s) and "d_gammas" not in repr(s)
 
@@ -177,7 +177,7 @@ def _pair_class():
 
     class Pair(_Value):
         __slots__ = ("a", "b", "note")
-        _compared = ("a", "b")
+        _args = ("a", "b")
 
         def __init__(self, a, b, note=None):
             self._fill(a, b, note)
