@@ -152,56 +152,64 @@ def _check_ell(ell: int) -> None:
 class _Value:
     """Base of the value classes: immutable, hashable ``__slots__`` objects,
     equal only to an object of the same class with equal compared fields.
+    ``__slots__`` names the fields once.  A record, a class with nothing to
+    check or default, writes no ``__init__``: its constructor is the compiled
+    :meth:`_fill`, which takes every slot by position or keyword.  Any other
     ``__init__`` checks its arguments, then sets the fields with :meth:`_fill`;
     :meth:`_trusted` only sets them, for values built from checked ones.  ``_args``
     names the constructor's arguments (default: ``__slots__``): the fields of
     repr, pickle, equality and hashing; the other slots are derived from them.
-    The first ``_trusted``, ``==`` or ``hash`` of a class compiles all three for
-    its fields (:meth:`_compile`) and redoes the call; an import compiles nothing."""
+    A class compiles at its first construction (:meth:`_compile`), the only way
+    to an instance, since pickle and copy call the constructor; an import
+    compiles nothing."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._args = cls.__dict__.get("_args", cls.__slots__)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def _fill(self, *values) -> None:
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
 
     @classmethod
     def _compile(cls):
-        """Set ``_trusted``, ``__eq__`` and ``__hash__`` on ``cls``, written out for its fields."""
-        values = [f"v{i}" for i in range(len(cls.__slots__))]
-        fields = cls._args
+        """Set ``_fill``, ``_trusted``, ``__eq__`` and ``__hash__`` on ``cls``, written
+        out for its fields, and ``__init__`` to ``_fill`` where ``cls`` writes none."""
+        if "_fill" in cls.__dict__:  # compiled, but called by a trampoline bound before
+            return cls
+        slots, fields = cls.__slots__, cls._args
+        params = ", ".join(slots)
+        stores = "".join(f"    _set_{f}(self, {f})\n" for f in slots)
         equal = " and ".join(f"self.{f} == other.{f}" for f in fields)
         source = (
-            f"def _trusted(cls, {', '.join(values)}):\n    self = _new(cls)\n"
-            + "".join(f"    _set_{v}(self, {v})\n" for v in values)
-            + "    return self\n"
+            f"def _fill(self, {params}):\n{stores}"
+            f"def _trusted(cls, {params}):\n    self = _new(cls)\n{stores}    return self\n"
             "def __eq__(self, other):\n"
             f"    if other.__class__ is self.__class__:\n        return {equal}\n"
             "    return NotImplemented\n"
             # "(self.a)" hashes the bare field, "(self.a, self.b)" the tuple
             f"def __hash__(self):\n    return hash(({', '.join(f'self.{f}' for f in fields)}))\n"
         )
-        namespace = dict(zip([f"_set_{v}" for v in values], cls._setters), _new=object.__new__)
+        namespace = dict({f"_set_{f}": getattr(cls, f).__set__ for f in slots}, _new=object.__new__)
         exec(source, namespace)
+        for name in ("_fill", "_trusted", "__eq__", "__hash__"):  # errors name the class
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = namespace["_fill"]
+        cls._fill = namespace["_fill"]
         cls._trusted = classmethod(namespace["_trusted"])
         cls.__eq__ = namespace["__eq__"]
         cls.__hash__ = namespace["__hash__"]
         return cls
 
+    # The three ways to an instance compile its class, then redo the call.
+    def __init__(self, *args, **kwargs) -> None:
+        type(self)._compile().__init__(self, *args, **kwargs)
+
+    def _fill(self, *values) -> None:
+        type(self)._compile()._fill(self, *values)
+
     @classmethod
     def _trusted(cls, *values):
         """An instance with its slots set to ``values``, without ``__init__``."""
         return cls._compile()._trusted(*values)
-
-    def __eq__(self, other):
-        return type(self)._compile().__eq__(self, other)
-
-    def __hash__(self) -> int:
-        return type(self)._compile().__hash__(self)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot set or delete field {name!r}")
@@ -220,9 +228,6 @@ class PrimePower(_Value):
     """A prime power ``q = p**f``."""
 
     __slots__ = ("p", "f", "q")
-
-    def __init__(self, p: int, f: int, q: int):
-        self._fill(p, f, q)
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":
@@ -246,9 +251,6 @@ class EllParams(_Value):
     """
 
     __slots__ = ("q", "eps", "ell", "p", "d")
-
-    def __init__(self, q: int, eps: int, ell: int, p: int, d: int):
-        self._fill(q, eps, ell, p, d)
 
     @classmethod
     @lru_cache(maxsize=None)

@@ -260,14 +260,14 @@ def _cmd_hook(args: argparse.Namespace) -> _Outcome:
 # The built-in verification grid: hook classification scan, shape identity,
 # symmetric/wreath/type-D bijections, and the full block grid.
 _DEFAULT_ITEMS = [
-    {"op": "hook_scan", "n_max": 9},
-    {"op": "shape_identity", "delta_max": 6, "ells": [3, 5, 7]},
+    {"op": "hook_scan"},
+    {"op": "shape_identity"},
     *({"op": "young_verify", "kind": "sym", "n": 12, "ell": ell} for ell in (2, 3, 5)),
     {"op": "young_verify", "kind": "wreath", "n": 4, "e": 2, "ell": 3},
     {"op": "young_verify", "kind": "wreath", "n": 3, "e": 3, "ell": 5},
     {"op": "young_verify", "kind": "typed", "n": 2, "e": 1, "ell": 3},
     {"op": "young_verify", "kind": "typed", "n": 3, "e": 2, "ell": 5},
-    {"op": "gl_grid", "n_max": GRID_MAX_N},
+    {"op": "gl_grid"},
 ]
 
 
@@ -382,20 +382,23 @@ def _run_shape_identity(delta_max: int, ells: list[int]) -> dict:
     return {"op": "shape_identity", "delta_max": delta_max, "ells": ells, "pass": ok}
 
 
+# A default that marks a field an item must give.
+_REQUIRED = object()
+
 # op -> (runner, {field: (check, default)}), fields checked in this order.
 # Library rules (kind, prime ell, grid and oracle bounds) raise when the item runs.
 _OPS = {
     "gl_verify": (_run_gl_verify, {
-        "n": (_integer(), None),
-        "q": (_integer(), None),
-        "ell": (_integer(), None),
+        "n": (_integer(), _REQUIRED),
+        "q": (_integer(), _REQUIRED),
+        "ell": (_integer(), _REQUIRED),
         "eps": (_eps_value, "+"),
     }),
     "gl_grid": (_run_gl_grid, {"n_max": (_integer(1), GRID_MAX_N)}),
     "young_verify": (_run_young_verify, {
-        "kind": (lambda kind: kind, None),
-        "n": (_integer(), None),
-        "ell": (_integer(), None),
+        "kind": (lambda kind: kind, _REQUIRED),
+        "n": (_integer(), _REQUIRED),
+        "ell": (_integer(), _REQUIRED),
         "e": (_integer(optional=True), None),
     }),
     "hook_scan": (_run_hook_scan, {"n_max": (_integer(2), 9)}),
@@ -439,6 +442,8 @@ def _load_campaign(path: str | None) -> list[tuple[str, dict[str, Any]]]:
             )
         fields = {}
         for key, (check, default) in spec.items():
+            if default is _REQUIRED and key not in item:
+                raise ValueError(f"items[{pos}]: field {key!r} is required")
             try:
                 fields[key] = check(item.get(key, default))
             except ValueError as exc:

@@ -67,8 +67,8 @@ class FiniteField:
 
     Instances are canonical: obtain them through :func:`prime_field`,
     :func:`extension_field`, or :func:`field_of_order`, never directly.
-    Equality and hashing are by identity, which those cached constructors
-    make reliable.
+    Equality and hashing are by identity, which the caches of the first two
+    make reliable; pickle and copy also return the canonical field.
     """
 
     def __init__(self, p: int, order: int, base: "FiniteField | None", modulus: tuple[int, ...] | None):
@@ -102,6 +102,11 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"FiniteField({self.order})"
+
+    def __reduce__(self):
+        if self.base is None:
+            return prime_field, (self.p,)
+        return extension_field, (self.base, self.degree)
 
     # -- the definition: digit-recursive arithmetic -----------------------
     def _digits(self, a: int) -> list[int]:
@@ -184,7 +189,6 @@ def extension_field(base: FiniteField, deg: int) -> FiniteField:
     )
 
 
-@lru_cache(maxsize=None)
 def field_of_order(q: int) -> FiniteField:
     pp = PrimePower.from_q(q)
     if pp.f == 1:
@@ -196,9 +200,6 @@ class FieldCtx(_Value):
     """The pair of fields F_q and F_{q^2} used by the label calculus."""
 
     __slots__ = ("p", "f", "q")
-
-    def __init__(self, p: int, f: int, q: int):
-        self._fill(p, f, q)
 
     @property
     def base(self) -> FiniteField:
@@ -213,7 +214,6 @@ class FieldCtx(_Value):
         return self.base if eps == 1 else self.quadratic
 
 
-@lru_cache(maxsize=None)
 def ctx_for(q: int) -> FieldCtx:
     pp = PrimePower.from_q(q)
     return FieldCtx(p=pp.p, f=pp.f, q=q)
@@ -368,9 +368,6 @@ class PolyLabel(_Value):
     """An element of the label set F, of family "F0", "F1" or "F2"."""
 
     __slots__ = ("gamma", "family", "deg")
-
-    def __init__(self, gamma: Poly, family: str, deg: int):
-        self._fill(gamma, family, deg)
 
 
 def F_set(ctx: FieldCtx, eps: int, n: int) -> list[PolyLabel]:

@@ -632,14 +632,6 @@ class CountingReport(_Value):
         "weights_total", "af_total", "passed", "mismatches",
     )
 
-    def __init__(
-        self, n: int, q: int, eps: int, ell: int, s_count: int, blocks_checked: int,
-        nonempty_blocks: int, weights_total: int, af_total: int, passed: bool,
-        mismatches: tuple[dict, ...] = (),
-    ):
-        self._fill(n, q, eps, ell, s_count, blocks_checked, nonempty_blocks, weights_total,
-                   af_total, passed, mismatches)
-
     def to_json_dict(self) -> dict:
         out = {name: getattr(self, name) for name in self.__slots__}
         out["pass"] = out.pop("passed")
@@ -765,9 +757,6 @@ class HookEGC(_Value):
     empty."""
 
     __slots__ = ("mode", "partitions")
-
-    def __init__(self, mode: str, partitions: tuple[Partition, ...]):
-        self._fill(mode, partitions)
 
     def to_json_dict(self) -> dict:
         return {"mode": self.mode, "partitions": [list(p) for p in self.partitions]}

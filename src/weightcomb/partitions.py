@@ -347,9 +347,6 @@ class CoreTower(_Value):
 
     __slots__ = ("ell", "rows")
 
-    def __init__(self, ell: int, rows: tuple[tuple[Partition, ...], ...]):
-        self._fill(ell, rows)
-
     def row_sizes(self) -> tuple[int, ...]:
         """Total number of cells appearing in each row."""
         return tuple(sum(sum(mu) for mu in row) for row in self.rows)
@@ -427,9 +424,6 @@ class EllExpansion(_Value):
     (no trailing zeros)."""
 
     __slots__ = ("ell", "coeffs")
-
-    def __init__(self, ell: int, coeffs: tuple[int, ...]):
-        self._fill(ell, coeffs)
 
     def total(self) -> int:
         return sum(c * self.ell**i for i, c in enumerate(self.coeffs))

@@ -75,9 +75,6 @@ class YoungPair(_Value):
 
     __slots__ = ("kind", "n", "e", "ell", "expansion", "zeta")
 
-    def __init__(self, kind: str, n: int, e: int, ell: int, expansion: EllExpansion, zeta: tuple):
-        self._fill(kind, n, e, ell, expansion, zeta)
-
     def nu(self) -> int:
         """ell-adic valuation of |Y|: (n - sum of coefficients) / (ell - 1)."""
         return nu(self.n, self.expansion.coeffs, self.ell)
@@ -296,29 +293,12 @@ class BijectionReport(_Value):
         "defect_histogram_irr", "defect_histogram_triples", "passed",
     )
 
-    def __init__(
-        self, kind: str, n: int, e: int, ell: int, count_irr: int, count_triples: int,
-        defect_histogram_irr: tuple, defect_histogram_triples: tuple, passed: bool,
-    ):
-        self._fill(kind, n, e, ell, count_irr, count_triples, defect_histogram_irr,
-                   defect_histogram_triples, passed)
-
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "e": self.e,
-            "ell": self.ell,
-            "count_irr": self.count_irr,
-            "count_triples": self.count_triples,
-            "defect_histogram_irr": {
-                str(k): v for k, v in self.defect_histogram_irr
-            },
-            "defect_histogram_triples": {
-                str(k): v for k, v in self.defect_histogram_triples
-            },
-            "pass": self.passed,
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["pass"] = out.pop("passed")
+        for name in ("defect_histogram_irr", "defect_histogram_triples"):
+            out[name] = {str(k): v for k, v in out[name]}
+        return out
 
 
 def _irr_defect_histogram(kind: str, n: int, e: int, ell: int) -> Counter:

@@ -666,13 +666,17 @@ def test_campaign_item_that_checks_nothing_is_refused(capsys, tmp_path, item, fi
         ({"op": "hook_scan", "n_max": 1}, "items[1]: field 'n_max' must be >= 2"),
         ({"op": "young_verify", "kind": "sym", "n": 4, "ell": 2, "e": "2"},
          "items[1]: field 'e' must be an integer"),
+        ({"op": "young_verify", "n": 3, "ell": 3}, "items[1]: field 'kind' is required"),
+        ({"op": "young_verify", "kind": "sym", "ell": 3}, "items[1]: field 'n' is required"),
+        ({"op": "gl_verify", "n": 2, "ell": 3}, "items[1]: field 'q' is required"),
+        ({"op": "gl_verify", "n": 2, "q": 4}, "items[1]: field 'ell' is required"),
     ],
 )
 def test_campaign_is_checked_whole_before_any_item_runs(
     capsys, tmp_path, monkeypatch, item, message
 ):
-    """A misspelled or unknown field, or a bad value, is a usage error that
-    names its item and field, even behind a full gl_grid: no item runs."""
+    """A misspelled, unknown or missing field, or a bad value, is a usage error
+    that names its item and field, even behind a full gl_grid: no item runs."""
     def refuse(*args):
         raise AssertionError("verify_counting ran before the config was checked")
 

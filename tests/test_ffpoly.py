@@ -1,6 +1,8 @@
 """Tests for finite fields, irreducible enumeration, and the label calculus."""
 
+import copy
 import math
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -110,6 +112,19 @@ def test_field_axioms_sample():
         _check_against_definition(F)
     with pytest.raises(ZeroDivisionError):
         F.pow(0, -1)
+
+
+def test_copied_and_unpickled_fields_are_the_canonical_ones():
+    """Fields compare by identity, so pickle and copy hand back the cached
+    field, not a rebuilt one, and a label over it keeps its equality."""
+    quadratic = ctx_for(23).quadratic
+    for F in (prime_field(3), field_of_order(9), quadratic, extension_field(prime_field(2), 3)):
+        assert pickle.loads(pickle.dumps(F)) is F
+        assert copy.deepcopy(F) is F and copy.copy(F) is F
+    assert len(pickle.dumps(quadratic)) < 200  # a reference, not F_529's tables
+    label = F_set(ctx_for(3), -1, 2)[3]
+    assert pickle.loads(pickle.dumps(label)) == label
+    assert copy.deepcopy(label) == label and copy.deepcopy(label).gamma.field is label.gamma.field
 
 
 def test_field_of_order_529_against_the_definition():

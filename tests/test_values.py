@@ -1,9 +1,16 @@
-"""Value semantics of the package's record classes: immutable, hashable,
+"""Value semantics of the package's value classes: immutable, hashable,
 equal only to an object of the same class with equal compared fields,
-constructed by position or keyword with their defaults."""
+constructed by position or keyword with their defaults.  A record (a class
+with nothing to check or default) writes no ``__init__`` and takes its
+``__slots__`` like a signature; a class compiles at its first construction,
+including one by pickle or copy."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +77,9 @@ BUILDERS = {
     "BlockLabel": (lambda: BlockLabel(_s(), ((1,),)), "kappa"),
     "GenericWeightLabel": (lambda: GenericWeightLabel(_s_d1(), (1,), None), "hook"),
     "AFWeightLabel": (lambda: AFWeightLabel(_s(), 0, (), (0, ())), "psi_index"),
-    "CountingReport": (lambda: CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True), "mismatches"),
+    "CountingReport": (
+        lambda: CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True, mismatches=()), "mismatches"
+    ),
     "HookEGC": (lambda: HookEGC("hooks", ((2,), (1, 1))), "mode"),
 }
 
@@ -84,7 +93,7 @@ def test_equal_objects_hash_alike_and_copy(name):
     assert first == second and not first != second
     assert hash(first) == hash(second)
     assert len({first, second}) == 1
-    assert copy.copy(first) == first
+    assert copy.copy(first) == first and copy.deepcopy(first) == first
     assert repr(first).startswith(name + "(") and repr(first) == repr(second)
 
 
@@ -124,9 +133,8 @@ def test_keyword_construction_and_defaults():
     assert TowerTuple(kind="sym", e=1, ell=2, towers=(tower,)).split is None
     report = CountingReport(
         n=1, q=9, eps=1, ell=5, s_count=1, blocks_checked=1, nonempty_blocks=1,
-        weights_total=1, af_total=1, passed=True,
+        weights_total=1, af_total=1, passed=True, mismatches=(),
     )
-    assert report.mismatches == ()
     assert report == CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True, ())
     weight = AFWeightLabel(s=_s(), gamma_exp=0, c_seq=(), psi_index=(0, ()))
     assert weight == AFWeightLabel(_s(), 0, (), (0, ()))
@@ -172,48 +180,133 @@ def test_trusted_equals_and_hashes_like_the_public_constructor(cls):
     assert hash(trusted) == hash(public)
 
 
-def _pair_class():
-    """A value class of its own, so that none of its methods is compiled yet."""
+# The classes with nothing to check or default: their constructor is the
+# compiled _fill, which takes every slot.
+RECORDS = {
+    "PrimePower", "EllParams", "CoreTower", "EllExpansion", "YoungPair",
+    "BijectionReport", "FieldCtx", "PolyLabel", "HookEGC", "CountingReport",
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_position_and_keyword_build_equal_objects(cls):
+    public = BUILDERS[cls.__name__][0]()
+    values = [getattr(public, name) for name in cls._args]
+    assert cls(*values) == cls(**dict(zip(cls._args, values))) == public
+    assert (cls.__init__ is cls._fill) is (cls.__name__ in RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_arguments_bind_like_a_signature(name):
+    public = BUILDERS[name][0]()
+    cls = type(public)
+    values = [getattr(public, field) for field in cls.__slots__]
+    first = cls.__slots__[0]
+    for bad_call in (
+        lambda: cls(*values[:-1]),  # missing
+        lambda: cls(*values, None),  # extra
+        lambda: cls(*values, not_a_field=None),  # unknown
+        lambda: cls(*values, **{first: values[0]}),  # given twice
+    ):
+        with pytest.raises(TypeError, match=cls.__name__):
+            bad_call()
+
+
+def _run_python(code: str, stdin: bytes = b"") -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode()
+
+
+COMPILED_CLASSES = (
+    "from weightcomb.arith import _Value\n"
+    "names = {'_fill', '_trusted', '__eq__', '__hash__'}\n"
+    "print(sorted(c.__name__ for c in _Value.__subclasses__() if names & set(vars(c))))\n"
+)
+
+
+def test_import_compiles_no_class():
+    """Nor does the base class answer ``==`` or ``hash`` for a class not yet
+    compiled: no instance exists before its class compiles."""
+    assert not {"__eq__", "__hash__"} & set(vars(_Value))
+    code = "import weightcomb.cli, weightcomb.ffpoly\n" + COMPILED_CLASSES
+    assert _run_python(code) == "[]\n"
+
+
+def test_unpickled_values_compile_their_class_and_equal_each_other():
+    """A fresh process whose first values are unpickled ones: each equals a
+    second copy, hashes alike and keeps its repr.  A field comes back as the
+    canonical one, so a ``Poly`` over it still equals its copy."""
+    objects = {name: build() for name, (build, _) in BUILDERS.items()}
+    blobs = {name: (pickle.dumps(obj), repr(obj)) for name, obj in objects.items()}
+    code = (
+        "import pickle, sys\n"
+        "bad = []\n"
+        "for name, (blob, text) in pickle.load(sys.stdin.buffer).items():\n"
+        "    first, second = pickle.loads(blob), pickle.loads(blob)\n"
+        "    if not (first == second and hash(first) == hash(second) and repr(first) == text):\n"
+        "        bad.append(name)\n"
+        "print(bad)\n"
+        + COMPILED_CLASSES
+    )
+    assert _run_python(code, pickle.dumps(blobs)).splitlines() == ["[]", str(sorted(BUILDERS))]
+
+
+def _pair_class(record=False):
+    """A value class of its own, so that none of its methods is compiled yet:
+    a record, or a class whose ``__init__`` defaults ``note``."""
 
     class Pair(_Value):
         __slots__ = ("a", "b", "note")
-        _args = ("a", "b")
+        _args = ("a", "b", "note") if record else ("a", "b")
 
-        def __init__(self, a, b, note=None):
-            self._fill(a, b, note)
+        if not record:
+            def __init__(self, a, b, note=None):
+                self._fill(a, b, note)
 
     return Pair
 
 
 def _answers(Pair, use):
-    x, y, z = Pair(1, (2,)), Pair(1, (2,), "noted"), Pair(1, (3,))
+    """``_trusted`` builds for "trusted", the constructor for the other uses."""
+    build = Pair._trusted if use == "trusted" else Pair
+    x, y, z = build(1, (2,), None), build(1, (2,), "noted"), build(1, (3,), None)
     if use == "eq":
         return [x == y, y == x, x == z, x != y, x != z]
     if use == "hash":
         return [hash(x), hash(y), hash(z)]
-    made = Pair._trusted(1, (2,), "noted")
-    return [type(made), made.a, made.b, made.note, made == x]
+    return [type(y), y.a, y.b, y.note, x == Pair(1, (2,), None)]
 
 
 @pytest.mark.parametrize("use", ["eq", "hash", "trusted"])
 def test_first_use_compiles_and_answers_like_later_calls(use):
-    Pair = _pair_class()
-    compiled = {"_trusted", "__eq__", "__hash__"}
-    assert not compiled & set(vars(Pair))  # nothing is compiled at class creation
-    first = _answers(Pair, use)
-    assert compiled <= set(vars(Pair))
-    assert first == _answers(Pair, use)
-    expected = {
-        "eq": [True, True, False, False, True],
-        "hash": [hash((1, (2,))), hash((1, (2,))), hash((1, (3,)))],
-        "trusted": [Pair, 1, (2,), "noted", True],
-    }
-    assert first == expected[use]
+    """A class compiles at its first construction, by its constructor or by
+    ``_trusted``; a record's constructor is then the compiled ``_fill``."""
+    compiled = {"_fill", "_trusted", "__eq__", "__hash__"}
+    for record in (False, True):
+        Pair = _pair_class(record)
+        assert not compiled & set(vars(Pair))  # nothing is compiled at class creation
+        assert ("__init__" in vars(Pair)) is not record
+        first = _answers(Pair, use)
+        assert compiled <= set(vars(Pair))
+        assert (Pair.__init__ is Pair._fill) is record
+        assert first == _answers(Pair, use)
+        values = [(1, (2,), None), (1, (2,), "noted"), (1, (3,), None)]
+        expected = {
+            "eq": [not record, not record, False, record, True],
+            "hash": [hash(v[:len(Pair._args)]) for v in values],
+            "trusted": [Pair, 1, (2,), "noted", True],
+        }
+        assert first == expected[use]
 
 
 def test_compiled_equality_stays_class_strict():
     Pair, Twin = _pair_class(), _pair_class()
-    for _ in range(2):  # before and after the first use compiles
-        assert Pair(1, (2,)) != Twin(1, (2,)) and not Pair(1, (2,)) == Twin(1, (2,))
-        assert Pair(1, (2,)) != (1, (2,)) and Pair(1, (2,)) != (1, (2,), None)
-        assert len({Pair(1, (2,)), Twin(1, (2,))}) == 2
+    assert Pair(1, (2,)) != Twin(1, (2,)) and not Pair(1, (2,)) == Twin(1, (2,))
+    assert Pair(1, (2,)) != (1, (2,)) and Pair(1, (2,)) != (1, (2,), None)
+    assert len({Pair(1, (2,)), Twin(1, (2,))}) == 2
