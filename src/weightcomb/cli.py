@@ -7,8 +7,10 @@ byte-identical across repeated runs.  Each ``_cmd_*`` handler returns the
 report's ``(params, results, passed)``; ``main`` alone writes it, through
 ``_emit``, as ``json.dumps(report, sort_keys=True, indent=2)``, after every
 check that can fail, and picks the exit code.  Only ``gl blocks`` streams,
-splicing in its pre-rendered block texts in chunks.  A campaign config is
-checked whole, every item's fields against ``_OPS``, before any item runs.
+enumerating and writing its blocks in chunks as they come: its input checks
+and bounds run before the first byte, and a broken invariant after the first
+chunk leaves a truncated stdout.  A campaign config is checked whole, every
+item's fields against ``_OPS``, before any item runs.
 Exit codes: 0 pass, 1 verification failure or broken invariant (one JSON
 record on stderr), 2 usage or parse error, 3 enumeration bound exceeded, 141
 stdout closed by the reader.
@@ -17,6 +19,7 @@ stdout closed by the reader.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -30,8 +33,8 @@ from .glblocks import (
     GRID_MAX_N,
     GRID_PRIME_POWERS,
     BlockLabel,
+    _block_stream,
     af_weights,
-    blocks,
     generic_weights,
     grid_points,
     principal_block,
@@ -218,18 +221,21 @@ def _select_block(args: argparse.Namespace):
         raise ValueError(
             f"--block must be 'principal' or a block index, got {args.block!r}"
         ) from None
-    all_blocks = blocks(args.n, args.q, args.eps, args.ell)
-    if not 0 <= index < len(all_blocks):
-        raise ValueError(
-            f"block index {index} out of range (have {len(all_blocks)} blocks)"
-        )
-    return all_blocks[index]
+    stream = _block_stream(args.n, args.q, args.eps, args.ell)
+    # islice stops at sys.maxsize, and no grid point has that many blocks
+    before = sum(1 for _ in itertools.islice(stream, min(max(index, 0), sys.maxsize)))
+    block = next(stream, None)
+    if index >= 0 and block is not None:
+        return block
+    have = before + (block is not None) + sum(1 for _ in stream)
+    raise ValueError(f"block index {index} out of range (have {have} blocks)")
 
 
 def _cmd_gl(args: argparse.Namespace) -> _Outcome:
     params = {"action": args.action, **_point_params(args)}
     if args.action == "blocks":
-        return params, _block_texts(blocks(args.n, args.q, args.eps, args.ell)), True
+        stream = _block_stream(args.n, args.q, args.eps, args.ell)  # checks the point now
+        return params, _block_texts(stream), True
     if args.action == "verify":
         report = verify_counting(args.n, args.q, args.eps, args.ell)
         return params, [report.to_json_dict()], report.passed

@@ -160,27 +160,21 @@ def _unit_orbit_labels(r: int, step: int):
         yield FracLabel._trusted(len(orbit), r, a)
 
 
-def _degree_labels(q: int, eps: int, deg: int):
-    """Yield every label of exact degree deg: the unit orbits modulo each
-    r | (eps*q)**deg - 1 on which eps*q has order deg, r ascending."""
+def _degree_labels(q: int, eps: int, deg: int, ell: int):
+    """Yield every ell'-label of exact degree deg: the unit orbits modulo each
+    r | (eps*q)**deg - 1 on which eps*q has order deg, r ascending.  A
+    divisor r with ell | r is skipped before its orbits are walked, since
+    every label modulo r has roots of order r."""
     step = eps * q
     for r in divisors(abs(step**deg - 1)):
-        if (1 if r == 1 else multiplicative_order(step % r, r)) == deg:
+        if r % ell and (1 if r == 1 else multiplicative_order(step % r, r)) == deg:
             yield from _unit_orbit_labels(r, step)
 
 
-@lru_cache(maxsize=None)
-def _all_labels(q: int, eps: int, max_deg: int) -> tuple[FracLabel, ...]:
-    """Every label of degree <= max_deg, sorted by (deg, den, num)."""
-    return tuple(lab for m in range(1, max_deg + 1) for lab in _degree_labels(q, eps, m))
-
-
 def ellprime_labels(q: int, eps: int, ell: int, max_deg: int) -> tuple[FracLabel, ...]:
-    """Labels of degree <= max_deg whose roots have order coprime to ell."""
+    """Labels of degree <= max_deg with roots of order prime to ell, by (deg, den, num)."""
     EllParams.compute(q, eps, ell)
-    return tuple(
-        lab for lab in _all_labels(q, eps, max_deg) if is_ellprime_label(lab, ell)
-    )
+    return tuple(lab for m in range(1, max_deg + 1) for lab in _degree_labels(q, eps, m, ell))
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +195,7 @@ def ellprime_label_count(q: int, eps: int, ell: int, deg: int) -> int:
 def _first_labels(q: int, eps: int, ell: int, deg: int, count: int) -> tuple[FracLabel, ...]:
     """The first ``count`` ell-prime labels of exact degree ``deg`` in
     canonical order; stops early, and is cached since shapes repeat them."""
-    labels = _degree_labels(q, eps, deg)
-    ellprime = (lab for lab in labels if is_ellprime_label(lab, ell))
-    return tuple(itertools.islice(ellprime, count))
+    return tuple(itertools.islice(_degree_labels(q, eps, deg, ell), count))
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +269,22 @@ def _assignments(labels: tuple[FracLabel, ...], start: int, remaining: int):
                 yield ((idx, mult),) + rest
 
 
-def semisimple_labels(n: int, q: int, eps: int, ell: int) -> list[SemisimpleLabel]:
-    """All semisimple ell'-labels of GL_n / GU_n at the grid point, each
+def _semisimple_stream(n: int, params: EllParams):
+    """Yield the semisimple ell'-labels of GL_n / GU_n at a checked grid point,
     built unchecked with d_Gamma read from one list aligned with the labels."""
-    params = _check_grid(n, q, eps, ell)
+    q, eps, ell = params.q, params.eps, params.ell
     labels = ellprime_labels(q, eps, ell, n)
     d_gammas = [params.d_gamma(lab.deg) for lab in labels]
-    return [
-        SemisimpleLabel._trusted(
+    for chosen in _assignments(labels, 0, n):
+        yield SemisimpleLabel._trusted(
             q, eps, ell, n, tuple((labels[i], m) for i, m in chosen), params,
             tuple(d_gammas[i] for i, _ in chosen),
         )
-        for chosen in _assignments(labels, 0, n)
-    ]
+
+
+def semisimple_labels(n: int, q: int, eps: int, ell: int) -> list[SemisimpleLabel]:
+    """All semisimple ell'-labels of GL_n / GU_n at the grid point, as a list."""
+    return list(_semisimple_stream(n, _check_grid(n, q, eps, ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +368,16 @@ def _blocks_of(s: SemisimpleLabel):
         yield BlockLabel._trusted(s, kappa)
 
 
+def _block_stream(n: int, q: int, eps: int, ell: int):
+    """The blocks of the grid point, checked now and enumerated as they are
+    read: every semisimple label in turn, each with its blocks."""
+    params = _check_grid(n, q, eps, ell)
+    return (b for s in _semisimple_stream(n, params) for b in _blocks_of(s))
+
+
 def blocks(n: int, q: int, eps: int, ell: int) -> list[BlockLabel]:
-    """All block labels (s, kappa) at the grid point."""
-    return [b for s in semisimple_labels(n, q, eps, ell) for b in _blocks_of(s)]
+    """All block labels (s, kappa) at the grid point, as a list of the stream."""
+    return list(_block_stream(n, q, eps, ell))
 
 
 def principal_block(n: int, q: int, eps: int, ell: int) -> BlockLabel:

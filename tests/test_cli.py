@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from weightcomb import cli, glblocks, partitions
 from weightcomb.cli import _emit, _report, main
-from weightcomb.glblocks import blocks, verify_counting
+from weightcomb.glblocks import blocks, semisimple_labels, verify_counting
 from weightcomb.partitions import d_core, d_quotient
 
 
@@ -143,6 +143,11 @@ COMMAND_REPORTS = {
         "287e0570b024aa68663107efd265024d1de3b68c7579bc3e232e61ce266ffaa6",
     "gl weights --n 9 --q 4 --eps + --ell 3 --block principal":
         "395222346c7dca46abd7b609f27f950e333051198b2ab1887b765c51cdf35746",
+    # the first and the last of the 14 blocks, taken from the block stream
+    "gl weights --n 3 --q 5 --eps - --ell 3 --block 0":
+        "9ecabcd63b5604d6bed8f2df45f9f5262275b0de49932dee925a22742a19d1b6",
+    "gl weights --n 3 --q 5 --eps - --ell 3 --block 13":
+        "0b6c81192b2e6824fcc14ebc6da04a92380d6a3c4ce892541f9ee2e71b709f68",
 }
 
 
@@ -401,6 +406,14 @@ def test_gl_weights_by_index(capsys):
     assert code == 2
 
 
+def test_gl_weights_index_out_of_range_counts_every_block(capsys):
+    argv = ["gl", "weights", "--n", "3", "--q", "5", "--eps", "-", "--ell", "3", "--block"]
+    for index in ("14", "15", "-1", "99999999999999999999999"):
+        code, out, err = run(capsys, *argv, index)
+        assert (code, out) == (2, "")
+        assert err == f"error: block index {index} out of range (have 14 blocks)\n"
+
+
 def test_gl_verify(capsys):
     code, report = run_json(
         capsys, "gl", "verify", "--n", "3", "--q", "4", "--eps", "+", "--ell", "3"
@@ -533,7 +546,7 @@ def test_action_invariant_names_both_degrees(capsys, monkeypatch):
         monkeypatch.setattr(glblocks, "_label", raised_degree)
         return [glblocks.act_on_block("frob", b) for b in found]
 
-    monkeypatch.setattr(cli, "blocks", frobenius_images)
+    monkeypatch.setattr(cli, "_block_stream", frobenius_images)
     message = invariant_record(capsys, *GL_BLOCKS_4)
     assert message == "action changed the degree of 0/1 from 1 to 2"
 
@@ -906,6 +919,58 @@ def test_gl_blocks_report_streams(monkeypatch):
     assert "".join(log.writes) == json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert len(log.writes) > 1
     assert max(len(text.encode("utf-8")) for text in log.writes) <= 256 * 1024
+
+
+class LabelsAtWrite(WriteLog):
+    """A stdout stand-in that notes, at each write, how many semisimple
+    labels have had their blocks enumerated (``glblocks._blocks_of`` calls)."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self.labels, self.at_write = 0, []
+        blocks_of = glblocks._blocks_of
+
+        def counted(s):
+            self.labels += 1
+            return blocks_of(s)
+
+        monkeypatch.setattr(glblocks, "_blocks_of", counted)
+
+    def write(self, text):
+        self.at_write.append(self.labels)
+        return super().write(text)
+
+
+def test_gl_blocks_writes_before_the_last_label_is_walked(monkeypatch):
+    """gl blocks holds no block list: at (4, 9, +, 5), about 1 MB of report,
+    the first write comes before the last semisimple label is enumerated."""
+    total = len(semisimple_labels(4, 9, 1, 5))
+    log = LabelsAtWrite(monkeypatch)
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(GL_BLOCKS_4) == 0
+    assert log.labels == total
+    assert 0 < log.at_write[0] < total
+
+
+def test_invariant_broken_mid_stream_truncates_stdout(capsys, monkeypatch):
+    """An invariant that breaks after the first 64 KB chunk still exits 1
+    with one stderr record; stdout is then a strict prefix of the report."""
+    _, full, _ = run(capsys, *GL_BLOCKS_4)
+    last = semisimple_labels(4, 9, 1, 5)[-1]
+    blocks_of = glblocks._blocks_of
+
+    def breaks_at_the_last_label(s):
+        if s == last:
+            raise AssertionError("broken at the last label")
+        return blocks_of(s)
+
+    monkeypatch.setattr(glblocks, "_blocks_of", breaks_at_the_last_label)
+    code, out, err = run(capsys, *GL_BLOCKS_4)
+    assert (code, err.count("\n")) == (1, 1)
+    assert json.loads(err) == {
+        "error": "invariant", "message": "broken at the last label", "command": GL_BLOCKS_4,
+    }
+    assert 65536 < len(out) < len(full) and full.startswith(out)
 
 
 def test_gl_blocks_errors_leave_stdout_empty(capsys):

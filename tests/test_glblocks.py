@@ -9,7 +9,7 @@ import time
 import pytest
 
 from weightcomb import BoundExceededError, UnsupportedRegimeError, glblocks
-from weightcomb.arith import EllParams, d_of, ellprime_part
+from weightcomb.arith import EllParams, d_of, divisors, ellprime_part, multiplicative_order
 from weightcomb.glblocks import (
     AFWeightLabel,
     BlockLabel,
@@ -40,11 +40,12 @@ from weightcomb.glblocks import (
     verify_counting,
 )
 from weightcomb.glblocks import (
-    _all_labels,
     _core_choices,
+    _degree_labels,
     _first_labels,
     _label,
     _orbit,
+    _unit_orbit_labels,
 )
 from weightcomb.partitions import (
     _core_quotient,
@@ -83,19 +84,21 @@ def test_label_validation():
         FracLabel(0, 1, 0)  # degree must be positive
 
 
+def every_label(q, eps, deg):
+    """Every label of exact degree deg, ell-singular ones too: an ell above
+    |(eps*q)**deg - 1| divides no denominator, so the walk skips none."""
+    return list(_degree_labels(q, eps, deg, abs((eps * q) ** deg - 1) + 1))
+
+
 def test_degree_one_label_counts():
     for q in (2, 3, 4, 5, 7, 8, 9):
         for eps in (1, -1):
-            all_deg1 = [lab for lab in _all_labels(q, eps, 1)]
-            assert len(all_deg1) == q - eps
+            assert len(every_label(q, eps, 1)) == q - eps
 
 
 def test_all_labels_census_bridges_polynomial_side():
     """Frozen degree censuses matching the polynomial-label enumeration."""
-    by_deg = lambda q, eps, n: {
-        d: sum(1 for lab in _all_labels(q, eps, n) if lab.deg == d)
-        for d in range(1, n + 1)
-    }
+    by_deg = lambda q, eps, n: {d: len(every_label(q, eps, d)) for d in range(1, n + 1)}
     assert by_deg(2, -1, 3) == {1: 3, 2: 0, 3: 2}
     assert by_deg(3, -1, 3) == {1: 4, 2: 2, 3: 8}
     assert by_deg(4, 1, 3) == {1: 3, 2: 6, 3: 20}
@@ -124,6 +127,26 @@ def test_ellprime_label_count_matches_enumeration():
             for d in range(1, 5):
                 expected = sum(1 for lab in labs if lab.deg == d)
                 assert ellprime_label_count(q, eps, ell, d) == expected
+
+
+def test_ellprime_walk_matches_filter_over_every_label():
+    """The walk skips each divisor r with ell | r before it walks r's orbits.
+    At every n <= 4 grid point it yields what the filter over every label of
+    every divisor yields, in the same order, and _first_labels is a prefix."""
+    for n, q, eps, ell in grid_points(4):
+        step = eps * q
+        oracle = tuple(
+            lab
+            for m in range(1, n + 1)
+            for r in divisors(abs(step**m - 1))
+            if (1 if r == 1 else multiplicative_order(step % r, r)) == m
+            for lab in _unit_orbit_labels(r, step)
+            if is_ellprime_label(lab, ell)
+        )
+        assert ellprime_labels(q, eps, ell, n) == oracle, (n, q, eps, ell)
+        of_deg = [lab for lab in oracle if lab.deg == n]
+        for k in {0, 1, len(of_deg) // 2, len(of_deg), len(of_deg) + 1}:
+            assert _first_labels(q, eps, ell, n, k) == tuple(of_deg[:k]), (n, q, eps, ell, k)
 
 
 def test_first_labels_prefix_of_enumeration():
@@ -791,7 +814,7 @@ def test_verify_counting_frozen():
 def test_verify_counting_matches_brute_force():
     """The shape-class pass (representatives from _first_labels, class sizes
     from the Moebius count) against a walk over every block (labels from
-    _all_labels): every n <= 4 grid point and every sixth n = 5 point."""
+    ellprime_labels): every n <= 4 grid point and every sixth n = 5 point."""
     fifth = [p for p in grid_points(5) if p[0] == 5][::6]
     points = grid_points(4) + fifth
     assert (len(points), len(fifth)) == (152 + 7, 7)
