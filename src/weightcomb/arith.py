@@ -155,7 +155,7 @@ class _Value:
     ``__slots__`` names the fields once.  A record, a class with nothing to
     check or default, writes no ``__init__``: its constructor is the compiled
     :meth:`_fill`, which takes every slot by position or keyword.  Any other
-    ``__init__`` checks its arguments, then sets the fields with :meth:`_fill`;
+    ``__init__`` checks its arguments and sets the fields with :meth:`_fill`;
     :meth:`_trusted` only sets them, for values built from checked ones.  ``_args``
     names the constructor's arguments (default: ``__slots__``): the fields of
     repr, pickle, equality and hashing; the other slots are derived from them.

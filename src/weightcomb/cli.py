@@ -19,7 +19,6 @@ stdout closed by the reader.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -221,13 +220,10 @@ def _select_block(args: argparse.Namespace):
         raise ValueError(
             f"--block must be 'principal' or a block index, got {args.block!r}"
         ) from None
-    stream = _block_stream(args.n, args.q, args.eps, args.ell)
-    # islice stops at sys.maxsize, and no grid point has that many blocks
-    before = sum(1 for _ in itertools.islice(stream, min(max(index, 0), sys.maxsize)))
-    block = next(stream, None)
-    if index >= 0 and block is not None:
-        return block
-    have = before + (block is not None) + sum(1 for _ in stream)
+    have = 0
+    for have, block in enumerate(_block_stream(args.n, args.q, args.eps, args.ell), 1):
+        if have == index + 1:
+            return block
     raise ValueError(f"block index {index} out of range (have {have} blocks)")
 
 

@@ -34,7 +34,6 @@ automorphism sigma acts by the p-power map on coefficients.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .arith import PrimePower, _check_eps, _order_of_power, _Value, d_of, ellprime_part, is_prime
 from .errors import BoundExceededError
@@ -165,7 +164,7 @@ class FiniteField:
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         n = self.order - 1
-        return n // gcd(self._log[a], n)
+        return _order_of_power(n, self._log[a])
 
 
 @lru_cache(maxsize=None)
@@ -431,7 +430,7 @@ class CentralScalar(_Value):
         return working.pow(working.generator(), k)
 
     def element_order(self) -> int:
-        return self.order // gcd(self.exponent % self.order, self.order)
+        return _order_of_power(self.order, self.exponent)
 
 
 def z_act(z: CentralScalar, label: PolyLabel) -> PolyLabel:

@@ -37,6 +37,7 @@ from operator import itemgetter
 
 from .arith import (
     EllParams,
+    _order_of_power,
     _Value,
     divisors,
     ellprime_part,
@@ -142,11 +143,6 @@ def _label(num: int, den: int, step: int) -> FracLabel:
     return FracLabel._trusted(len(orbit), den, min(orbit))
 
 
-def is_ellprime_label(lab: FracLabel, ell: int) -> bool:
-    """Whether the label's roots have order coprime to ell."""
-    return lab.den % ell != 0
-
-
 def _unit_orbit_labels(r: int, step: int):
     """Yield the label of every multiply-by-step orbit of units modulo r,
     by ascending smallest numerator."""
@@ -207,7 +203,8 @@ class SemisimpleLabel(_Value):
     weighted degrees sum to n, at a fixed grid point (q, eps, ell).
     :func:`semisimple_labels` yields ell'-classes only, but the actions may
     leave that set (a central shift of ell-power order), so a label whose
-    roots have order divisible by ell is accepted; its blocks have no weights.
+    roots have order divisible by ell is accepted.  Its blocks have no weights
+    at d != 1, but at d = 1 the weight listers do not check that s is ell'.
     ``params`` is the validated (q, eps, ell) and ``d_gammas`` holds d_Gamma
     of each elementary divisor, aligned with the assignments; both are
     derived at construction, since every block of s reads them, and take no
@@ -422,45 +419,35 @@ def _positive_defect_case(s: SemisimpleLabel) -> int | None:
 
 
 class GenericWeightLabel(_Value):
-    """A generic weight: a hook partition of the multiplicity (positive
-    defect case) or the block's unique series character (defect zero: each
-    mu_Gamma a d_Gamma-core, so d != 1).  The constructor takes only these."""
+    """A generic weight of a block: a hook partition of the multiplicity
+    (positive defect case), or hook None for the block's unique series
+    character (defect zero).  The constructor takes exactly what
+    :func:`generic_weights` lists for the block."""
 
-    __slots__ = ("s", "hook", "series")
+    __slots__ = ("block", "hook")
 
-    def __init__(self, s: SemisimpleLabel, hook: Partition | None, series: SeriesCharLabel | None):
-        if (hook is None) == (series is None):
-            raise ValueError("exactly one of hook and series must be set")
-        if hook is not None:
-            if _positive_defect_case(s) is None:
-                raise ValueError("hooks need d = 1 and one divisor of ell-power multiplicity")
-            _, m = s.assignments[0]
-            if hook not in hooks(m):
-                raise ValueError(f"{hook} is not a hook partition of {m}")
-        elif series.s != s:
-            raise ValueError("the series character must lie over the same s")
-        elif not all(map(_is_d_core, series.mu, s.d_gammas)):
-            raise ValueError("a series weight is the character of a defect-zero block")
-        self._fill(s, hook, series)
+    def __init__(self, block: BlockLabel, hook: Partition | None):
+        self._fill(block, hook)
+        if self not in generic_weights(block):
+            raise ValueError(f"the block lists no generic weight with hook {hook}")
 
     def to_json_dict(self) -> dict:
         if self.hook is not None:
             return {"generic": list(self.hook)}
-        return {"generic": self.series.to_json_dict()}
+        series = SeriesCharLabel._trusted(self.block.s, self.block.kappa)  # mu = kappa
+        return {"generic": series.to_json_dict()}
 
 
 def generic_weights(block: BlockLabel) -> tuple[GenericWeightLabel, ...]:
-    """Generic weights of the block: one series label at defect zero, the
+    """Generic weights of the block: the series weight at defect zero, the
     hook partitions when ell | (q - eps) and s is a single divisor with
     ell-power multiplicity, and nothing otherwise."""
-    s = block.s
     if is_defect_zero(block):
-        series = SeriesCharLabel._trusted(s, block.kappa)
-        return (GenericWeightLabel._trusted(s, None, series),)
-    if _positive_defect_case(s) is None:
+        return (GenericWeightLabel._trusted(block, None),)
+    if _positive_defect_case(block.s) is None:
         return ()
-    _, m = s.assignments[0]
-    return tuple(GenericWeightLabel._trusted(s, h, None) for h in hooks(m))
+    _, m = block.s.assignments[0]
+    return tuple(GenericWeightLabel._trusted(block, h) for h in hooks(m))
 
 
 def _shapes(delta: int):
@@ -482,29 +469,20 @@ def _slots(d_gamma: int, delta: int, ell: int):
 
 
 class AFWeightLabel(_Value):
-    """An Alperin-style weight label: a slot (gamma_exp, c_seq, psi_index)
-    naming gamma_exp copies of the extraspecial layer, a composition c_seq of
-    wreath layers and one of the d_Gamma * (ell-1)**len(c_seq) defect-zero
-    characters psi_index = (residue, psi) of the local quotient.  It takes what
-    :func:`af_weights` lists over s: a slot of level delta where s has a delta."""
+    """An Alperin-style weight label of a block: a slot (gamma_exp, c_seq,
+    psi_index) naming gamma_exp copies of the extraspecial layer, a
+    composition c_seq of wreath layers and one of the d_Gamma *
+    (ell-1)**len(c_seq) defect-zero characters psi_index = (residue, psi) of
+    the local quotient.  The constructor takes exactly what
+    :func:`af_weights` lists for the block."""
 
-    __slots__ = ("s", "gamma_exp", "c_seq", "psi_index")
+    __slots__ = ("block", "gamma_exp", "c_seq", "psi_index")
 
-    def __init__(self, s: SemisimpleLabel, gamma_exp: int, c_seq: tuple, psi_index: tuple):
+    def __init__(self, block: BlockLabel, gamma_exp: int, c_seq: tuple, psi_index: tuple):
         hash((c_seq, psi_index))  # a label is hashed with its slot: refuse a list at once
-        delta = _positive_defect_case(s)
-        # without a delta, the one label is (0, (), (0, ())): level 0 at d_Gamma = 1
-        level, d_gamma = (0, 1) if delta is None else (delta, s.d_gammas[0])
-        r, psi = psi_index
-        if gamma_exp < 0 or any(c < 1 for c in c_seq):
-            raise ValueError("shape parts must be a nonnegative gamma and positive c's")
-        if gamma_exp + sum(c_seq) != level:
-            raise ValueError(f"gamma + |c| = {gamma_exp + sum(c_seq)} differs from {level}")
-        if not 0 <= r < d_gamma:
-            raise ValueError(f"residue {r} is not below d_Gamma = {d_gamma}")
-        if len(psi) != len(c_seq) or any(not 0 <= x < s.ell - 1 for x in psi):
-            raise ValueError(f"psi must hold one entry below {s.ell - 1} per c part")
-        self._fill(s, gamma_exp, c_seq, psi_index)
+        self._fill(block, gamma_exp, c_seq, psi_index)
+        if self not in af_weights(block):
+            raise ValueError(f"the block lists no AF weight {(gamma_exp, c_seq, psi_index)}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -520,13 +498,14 @@ def af_weights(block: BlockLabel) -> tuple[AFWeightLabel, ...]:
     """Alperin-style weight labels of the block: the trivial-subgroup label
     at defect zero; every slot of level delta when ell | (q - eps) and s is
     a single divisor with multiplicity ell**delta; nothing otherwise."""
-    s = block.s
     if is_defect_zero(block):
-        return (AFWeightLabel._trusted(s, 0, (), (0, ())),)
+        return (AFWeightLabel._trusted(block, 0, (), (0, ())),)
+    s = block.s
     delta = _positive_defect_case(s)
     if delta is None:
         return ()
-    return tuple(AFWeightLabel._trusted(s, *slot) for slot in _slots(s.d_gammas[0], delta, s.ell))
+    slots = _slots(s.d_gammas[0], delta, s.ell)
+    return tuple(AFWeightLabel._trusted(block, *slot) for slot in slots)
 
 
 def shape_count_identity(delta: int, ell: int) -> bool:
@@ -594,32 +573,25 @@ def act_on_block(action, block: BlockLabel) -> BlockLabel:
 
 
 def act_on_weight(action, label):
-    """Relabel a generic or AF weight label, keeping its combinatorial data."""
-    if isinstance(label, GenericWeightLabel):
-        series = None if label.series is None else act_on_series(action, label.series)
-        return GenericWeightLabel._trusted(act_on_semisimple(action, label.s), label.hook, series)
-    if isinstance(label, AFWeightLabel):
-        return AFWeightLabel._trusted(
-            act_on_semisimple(action, label.s), label.gamma_exp, label.c_seq, label.psi_index
-        )
-    raise ValueError(f"not a weight label: {label!r}")
+    """Relabel a generic or AF weight label: move its block, keep its slot."""
+    if not isinstance(label, (GenericWeightLabel, AFWeightLabel)):
+        raise ValueError(f"not a weight label: {label!r}")
+    block, *slot = (getattr(label, name) for name in label._args)
+    return type(label)._trusted(act_on_block(action, block), *slot)
 
 
 def covered_blocks(block: BlockLabel) -> int:
     """Number of special-subgroup blocks covered: the count of central
     elements of ell'-order fixing the block.  Requires a block with
-    nonempty weight sets (defect zero or the single-divisor ell-power case)."""
-    if not is_defect_zero(block) and _positive_defect_case(block.s) is None:
+    nonempty weight sets."""
+    if not generic_weights(block):
         raise ValueError("covered-block count requires a block with nonempty weights")
-    s = block.s
-    z_order = s.q - s.eps
-    count = 0
-    for k in range(z_order):
-        if (z_order // math.gcd(k, z_order)) % s.ell == 0:
-            continue
-        if act_on_block(k, block) == block:
-            count += 1
-    return count
+    z_order = block.s.q - block.s.eps
+    return sum(
+        1
+        for k in range(z_order)
+        if _order_of_power(z_order, k) % block.s.ell and act_on_block(k, block) == block
+    )
 
 
 # ---------------------------------------------------------------------------

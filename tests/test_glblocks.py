@@ -32,7 +32,6 @@ from weightcomb.glblocks import (
     generic_weights,
     grid_points,
     is_defect_zero,
-    is_ellprime_label,
     principal_block,
     semisimple_labels,
     shape_count_identity,
@@ -141,7 +140,7 @@ def test_ellprime_walk_matches_filter_over_every_label():
             for r in divisors(abs(step**m - 1))
             if (1 if r == 1 else multiplicative_order(step % r, r)) == m
             for lab in _unit_orbit_labels(r, step)
-            if is_ellprime_label(lab, ell)
+            if lab.den % ell != 0
         )
         assert ellprime_labels(q, eps, ell, n) == oracle, (n, q, eps, ell)
         of_deg = [lab for lab in oracle if lab.deg == n]
@@ -189,12 +188,6 @@ def test_d_gamma_errors():
         EllParams.compute(5, -1, 2).d_gamma(1)  # 4 does not divide q - eps
 
 
-def test_is_ellprime_label():
-    assert is_ellprime_label(FracLabel(2, 5, 1), 3)
-    assert not is_ellprime_label(FracLabel(2, 15, 1), 3)
-    assert is_ellprime_label(TRIVIAL, 2)
-
-
 # ---------------------------------------------------------------------------
 # Semisimple labels.
 
@@ -217,7 +210,7 @@ def test_semisimple_invariants():
             assert sum(lab.deg * m for lab, m in s.assignments) == n
             labs = [lab for lab, _ in s.assignments]
             assert labs == sorted(labs) and len(set(labs)) == len(labs)
-            assert all(is_ellprime_label(lab, ell) for lab in labs)
+            assert all(lab.den % ell != 0 for lab in labs)
             assert all(m >= 1 for _, m in s.assignments)
 
 
@@ -570,7 +563,7 @@ def test_generic_weights_principal_hooks():
     out = generic_weights(pb)
     assert len(out) == 9
     assert [w.hook for w in out] == list(hooks(9))
-    assert all(w.series is None for w in out)
+    assert all(w.block == pb for w in out)
 
 
 def test_generic_weights_not_ell_power():
@@ -591,7 +584,9 @@ def test_defect_zero_block_weights():
     assert target is not None and is_defect_zero(target)
     gen = generic_weights(target)
     assert len(gen) == 1
-    assert gen[0].series == SeriesCharLabel(target.s, target.kappa)
+    assert (gen[0].block, gen[0].hook) == (target, None)
+    series = SeriesCharLabel(target.s, target.kappa)
+    assert gen[0].to_json_dict() == {"generic": series.to_json_dict()}
     afs = af_weights(target)
     assert len(afs) == 1
     assert afs[0].gamma_exp == 0 and afs[0].c_seq == () and afs[0].psi_index == (0, ())
@@ -659,36 +654,46 @@ def test_series_label_rejects_non_partitions():
         SeriesCharLabel(s, ([2],))  # a list would make the label unhashable
 
 
-def test_generic_weight_series_must_lie_over_its_s():
-    # at (9, +, 5), d = 2 and (1) is a 2-core: the series of a defect-zero block
-    trivial = SemisimpleLabel(9, 1, 5, 1, ((TRIVIAL, 1),))
-    half = SemisimpleLabel(9, 1, 5, 1, ((FracLabel(1, 2, 1), 1),))
-    series = SeriesCharLabel(trivial, ((1,),))
-    assert GenericWeightLabel(trivial, None, series).series == series
-    with pytest.raises(ValueError):
-        GenericWeightLabel(half, None, series)
+def test_generic_series_weight_needs_a_defect_zero_block():
+    """(block, None) is the series weight: it builds over a defect-zero block
+    and over no other block."""
+    # at (9, +, 5), d = 2 and (1) is a 2-core: two defect-zero blocks
+    trivial = BlockLabel(SemisimpleLabel(9, 1, 5, 1, ((TRIVIAL, 1),)), ((1,),))
+    half = BlockLabel(SemisimpleLabel(9, 1, 5, 1, ((FracLabel(1, 2, 1), 1),)), ((1,),))
+    assert is_defect_zero(trivial) and is_defect_zero(half)
+    assert GenericWeightLabel(trivial, None) != GenericWeightLabel(half, None)
+    for block in (
+        BlockLabel(SemisimpleLabel(9, 1, 5, 2, ((TRIVIAL, 2),)), ((),)),  # weight 1, d = 2
+        BlockLabel(SemisimpleLabel(4, 1, 3, 1, ((TRIVIAL, 1),)), ((),)),  # d = 1: hook weights
+    ):
+        with pytest.raises(ValueError):
+            GenericWeightLabel(block, None)
+
+
+# The one block of s = (0/1)^3 at (4, +, 3), where delta = 1, d_Gamma = 1
+# and ell - 1 = 2: hook weights and AF slots of level 1.
+HOOK_BLOCK = BlockLabel(SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),)), ((),))
 
 
 def test_weight_label_validation():
-    s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
+    block = HOOK_BLOCK
     with pytest.raises(ValueError):
-        GenericWeightLabel(s, (2, 2), None)  # not a hook
-    assert GenericWeightLabel(s, (1, 1, 1), None).hook == (1, 1, 1)
+        GenericWeightLabel(block, (2, 2))  # not a hook
+    assert GenericWeightLabel(block, (1, 1, 1)).hook == (1, 1, 1)
     with pytest.raises(ValueError):
-        GenericWeightLabel(s, (0, 1, 1, 1), None)  # sums to 3, not a partition
+        GenericWeightLabel(block, (0, 1, 1, 1))  # sums to 3, not a partition
     with pytest.raises(ValueError):
-        GenericWeightLabel(s, None, None)
+        GenericWeightLabel(block, None)  # not a defect-zero block
     with pytest.raises(ValueError):
-        AFWeightLabel(s, -1, (2,), (0, (0,)))  # gamma < 0, gamma + |c| = delta = 1
+        AFWeightLabel(block, -1, (2,), (0, (0,)))  # gamma < 0, gamma + |c| = delta = 1
     with pytest.raises(ValueError):
-        AFWeightLabel(s, 1, (0,), (0, (0,)))  # a c part of 0
+        AFWeightLabel(block, 1, (0,), (0, (0,)))  # a c part of 0
     with pytest.raises(ValueError):
-        AFWeightLabel(s, 0, (1,), (0, ()))  # psi vector length mismatch
+        AFWeightLabel(block, 0, (1,), (0, ()))  # psi vector length mismatch
 
 
-# Over s = (0/1)^3 at (4, +, 3), where delta = 1, d_Gamma = 1 and ell - 1 = 2,
-# labels that break exactly one slot rule of the AFWeightLabel constructor
-# (test_weight_label_validation breaks the shape-part and psi-length rules).
+# Over HOOK_BLOCK, labels that break exactly one rule of the slots af_weights
+# lists (test_weight_label_validation breaks the shape-part and psi-length rules).
 AF_RULE_BREAKERS = {
     "gamma + |c| above delta": (1, (1,), (0, (0,))),
     "gamma + |c| below delta": (0, (), (0, ())),
@@ -702,47 +707,73 @@ AF_RULE_BREAKERS = {
 
 @pytest.mark.parametrize("rule", AF_RULE_BREAKERS)
 def test_af_label_breaking_one_rule_is_refused(rule):
-    s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
     with pytest.raises(ValueError):
-        AFWeightLabel(s, *AF_RULE_BREAKERS[rule])
+        AFWeightLabel(HOOK_BLOCK, *AF_RULE_BREAKERS[rule])
 
 
 def test_weight_labels_no_block_lists_are_refused():
     """Labels that built before the constructors took only what some block
-    lists: two AF labels off the slots of (0/1)^3 at (4, +, 3), hooks over an
-    s without hook weights (2 is not a power of 3; d = 2 at 9 mod 5; two
-    divisors), and series characters of no defect-zero block."""
-    s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
+    lists: two AF labels off the slots of HOOK_BLOCK, hooks over a block
+    without hook weights (2 is not a power of 3; d = 2 at 9 mod 5; two
+    divisors), and series weights of blocks of positive defect."""
     for args in ((0, (1,), (99, (99,))), (5, (7,), (0, (0,)))):
         with pytest.raises(ValueError):
-            AFWeightLabel(s, *args)
+            AFWeightLabel(HOOK_BLOCK, *args)
     for s, hook in (
         (SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 2),)), (1, 1)),
         (SemisimpleLabel(9, 1, 5, 2, ((TRIVIAL, 2),)), (2,)),
         (SemisimpleLabel(4, 1, 3, 2, ((TRIVIAL, 1), (FracLabel(1, 3, 1), 1))), (1,)),
     ):
         with pytest.raises(ValueError):
-            GenericWeightLabel(s, hook, None)
-    # series characters of no defect-zero block: (2) is neither a 1-core nor a 2-core
+            GenericWeightLabel(BlockLabel(s, ((),) * len(s.assignments)), hook)
+    # the one block of (0/1)^2 has kappa = (): (2) is neither a 1-core nor a 2-core
     for q, ell in ((4, 3), (9, 5)):
         s = SemisimpleLabel(q, 1, ell, 2, ((TRIVIAL, 2),))
         with pytest.raises(ValueError):
-            GenericWeightLabel(s, None, SeriesCharLabel(s, ((2,),)))
+            GenericWeightLabel(BlockLabel(s, ((),)), None)
 
 
 def test_af_label_without_delta_is_the_defect_zero_one():
-    s = SemisimpleLabel(9, 1, 5, 2, ((TRIVIAL, 2),))  # d = 2: no delta
-    assert AFWeightLabel(s, 0, (), (0, ())).psi_index == (0, ())
+    """Without a delta, (0, (), (0, ())) is the label of a defect-zero block
+    only: the one block of (0/1)^2 at (4, +, 3) (2 is not a power of 3) and
+    at (2, +, 3) and (9, +, 5) (d = 2, weight 1) lists no AF weight."""
+    block = BlockLabel(SemisimpleLabel(9, 1, 5, 1, ((TRIVIAL, 1),)), ((1,),))  # d = 2
+    assert AFWeightLabel(block, 0, (), (0, ())).psi_index == (0, ())
     for args in ((1, (), (0, ())), (0, (1,), (0, (0,))), (0, (), (1, ())), (0, (), (0, (0,)))):
         with pytest.raises(ValueError):
-            AFWeightLabel(s, *args)
+            AFWeightLabel(block, *args)
+    for q, ell in ((4, 3), (2, 3), (9, 5)):
+        block = BlockLabel(SemisimpleLabel(q, 1, ell, 2, ((TRIVIAL, 2),)), ((),))
+        assert af_weights(block) == ()
+        with pytest.raises(ValueError):
+            AFWeightLabel(block, 0, (), (0, ()))
+
+
+def test_defect_zero_blocks_of_one_s_have_distinct_weight_labels():
+    """At (5, 2, +, 5), d = 4 and (0/1)^5 has three defect-zero blocks, with
+    kappa = (4,1), (3,1,1) and (2,1,1,1): three weights of each kind, one
+    per block, none equal to another."""
+    s = SemisimpleLabel(2, 1, 5, 5, ((TRIVIAL, 5),))
+    zero = [b for b in glblocks._blocks_of(s) if is_defect_zero(b)]
+    assert [b.kappa for b in zero] == [((4, 1),), ((3, 1, 1),), ((2, 1, 1, 1),)]
+    for lister in (generic_weights, af_weights):
+        labels = {w for b in zero for w in lister(b)}
+        assert len(labels) == 3
+        assert {w.block for w in labels} == set(zero)
+
+
+def test_weight_labels_refuse_a_semisimple_label_for_the_block():
+    s = HOOK_BLOCK.s
+    with pytest.raises(AttributeError):
+        GenericWeightLabel(s, (3,))
+    with pytest.raises(AttributeError):
+        AFWeightLabel(s, 1, (), (0, ()))
 
 
 def test_af_label_refuses_lists_at_once():
-    s = SemisimpleLabel(4, 1, 3, 3, ((TRIVIAL, 3),))
     for args in ((0, [1], (0, (0,))), (0, (1,), (0, [0])), (0, (1,), [0, (0,)])):
         with pytest.raises(TypeError):
-            AFWeightLabel(s, *args)
+            AFWeightLabel(HOOK_BLOCK, *args)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
@@ -941,12 +972,13 @@ def test_act_on_weight_labels():
         for w in generic_weights(pb):
             moved = act_on_weight(action, w)
             assert moved.hook == w.hook
-            assert moved.s == act_on_semisimple(action, w.s)
+            assert moved.block == act_on_block(action, w.block)
         for w in af_weights(pb):
             moved = act_on_weight(action, w)
             assert (moved.gamma_exp, moved.c_seq, moved.psi_index) == (
                 w.gamma_exp, w.c_seq, w.psi_index,
             )
+            assert moved.block == act_on_block(action, w.block)
 
 
 def test_equivariance_of_weight_bijection():
@@ -1003,8 +1035,9 @@ def test_act_on_block_matches_the_uncached_reference(point):
     for i, b in enumerate(every_block):
         for action in actions:
             ref_s, ref_kappa = _reference_relabel(action, b.s, b.kappa)
+            ref_block = BlockLabel(ref_s, ref_kappa)
             moved = act_on_block(action, b)
-            assert moved == BlockLabel(ref_s, ref_kappa), (b, action)
+            assert moved == ref_block, (b, action)
             assert moved.s.d_gammas == ref_s.d_gammas
             assert moved.s.d_gammas == glblocks._d_gammas(moved.s.params, moved.s.assignments)
             if i % 50 == 0:
@@ -1012,11 +1045,10 @@ def test_act_on_block_matches_the_uncached_reference(point):
                     _, ref_mu = _reference_relabel(action, chi.s, chi.mu)
                     assert act_on_series(action, chi) == SeriesCharLabel(ref_s, ref_mu)
             for w in generic_weights(b):
-                series = w.series and SeriesCharLabel(ref_s, ref_kappa)  # mu = kappa there
-                assert act_on_weight(action, w) == GenericWeightLabel(ref_s, w.hook, series)
+                assert act_on_weight(action, w) == GenericWeightLabel(ref_block, w.hook)
             for w in af_weights(b):
                 assert act_on_weight(action, w) == AFWeightLabel(
-                    ref_s, w.gamma_exp, w.c_seq, w.psi_index
+                    ref_block, w.gamma_exp, w.c_seq, w.psi_index
                 )
     assert any(generic_weights(b) for b in every_block)
 
@@ -1074,7 +1106,7 @@ def test_ell_singular_label_builds_and_has_no_weights():
     assert shifted.assignments == ((FracLabel(1, 3, 1), 1),)  # 1/3 at ell = 3
     lab = FracLabel(2, 5, 1)
     s = SemisimpleLabel(9, 1, 5, 2, ((lab, 1),))
-    assert not is_ellprime_label(lab, 5)
+    assert lab.den % 5 == 0  # roots of order 5: not ell'
     assert s not in semisimple_labels(2, 9, 1, 5)
     block = BlockLabel(s, ((),))
     assert generic_weights(block) == () and af_weights(block) == ()

@@ -42,7 +42,7 @@ def _s(n=1):
 
 
 def _s_d1():
-    """An s whose blocks have hook weights: d = 1 and multiplicity 3**0."""
+    """An s whose block ((),) has hook weights: d = 1 and multiplicity 3**0."""
     return SemisimpleLabel(4, 1, 3, 1, ((TRIVIAL, 1),))
 
 
@@ -75,8 +75,10 @@ BUILDERS = {
     "SemisimpleLabel": (_s, "assignments"),
     "SeriesCharLabel": (lambda: SeriesCharLabel(_s(), ((1,),)), "mu"),
     "BlockLabel": (lambda: BlockLabel(_s(), ((1,),)), "kappa"),
-    "GenericWeightLabel": (lambda: GenericWeightLabel(_s_d1(), (1,), None), "hook"),
-    "AFWeightLabel": (lambda: AFWeightLabel(_s(), 0, (), (0, ())), "psi_index"),
+    "GenericWeightLabel": (lambda: GenericWeightLabel(BlockLabel(_s_d1(), ((),)), (1,)), "hook"),
+    "AFWeightLabel": (
+        lambda: AFWeightLabel(BlockLabel(_s(), ((1,),)), 0, (), (0, ())), "psi_index"
+    ),
     "CountingReport": (
         lambda: CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True, mismatches=()), "mismatches"
     ),
@@ -136,8 +138,9 @@ def test_keyword_construction_and_defaults():
         weights_total=1, af_total=1, passed=True, mismatches=(),
     )
     assert report == CountingReport(1, 9, 1, 5, 1, 1, 1, 1, 1, True, ())
-    weight = AFWeightLabel(s=_s(), gamma_exp=0, c_seq=(), psi_index=(0, ()))
-    assert weight == AFWeightLabel(_s(), 0, (), (0, ()))
+    block = BlockLabel(_s(), ((1,),))  # defect zero: d = 2 and (1) is a 2-core
+    weight = AFWeightLabel(block=block, gamma_exp=0, c_seq=(), psi_index=(0, ()))
+    assert weight == AFWeightLabel(block, 0, (), (0, ()))
     assert PrimePower(p=3, f=2, q=9) == PrimePower.from_q(9)
     with pytest.raises(TypeError):
         PrimePower(3, 2)
