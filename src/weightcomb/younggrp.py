@@ -20,8 +20,8 @@ shifts the C_{2e}-character tag by e, and tau-fixed classes carry an extra
 split bit for the two constituents of the restriction.
 
 Everything here is exact enumeration; ``verify_bijection`` recounts the
-character side independently (partition/multipartition degrees) and compares
-counts and defect histograms.
+character side independently (defects read off the hook lengths of the
+partitions and multipartitions) and compares counts and defect histograms.
 """
 
 from __future__ import annotations
@@ -29,21 +29,21 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, product
 
-from .arith import _check_ell, _Value, factorial_valuation, valuation
+from .arith import _check_ell, _Value, valuation
 from .errors import BoundExceededError
 from .partitions import (
     CoreTower,
     EllExpansion,
     Partition,
     _check_tower,
+    beta_set,
     compositions,
     cores_of_size,
-    degree,
     ell_expansions,
     nu,
     partitions_of,
 )
-from .symchars import wreath_char_degree
+from .symchars import wreath_char_degree  # noqa: F401 (bench/child.py traces it)
 
 __all__ = [
     "KINDS",
@@ -181,23 +181,28 @@ def _tau_image(zeta, lam, e: int):
     return new_zeta, new_lam
 
 
-def triples(kind: str, n: int, e: int | None, ell: int) -> list[YoungTriple]:
-    """One representative per conjugacy class of triples (Y, zeta, lam)."""
-    e = _check_kind(kind, n, e, ell)
-    out = []
+def _classes(kind: str, n: int, e: int, ell: int):
+    """(exp, zeta, lam, split) of each class representative of :func:`triples`."""
     for exp, zeta, lam in _raw_triples(kind, n, e, ell):
-        pair = YoungPair(kind=kind, n=n, e=e, ell=ell, expansion=exp, zeta=zeta)
         if kind != "typed":
-            out.append(YoungTriple(pair=pair, lam=lam))
+            yield exp, zeta, lam, None
             continue
         tau_zeta, tau_lam = _tau_image(zeta, lam, e)
         if (zeta, lam) == (tau_zeta, tau_lam):
-            out.append(YoungTriple(pair=pair, lam=lam, split=0))
-            out.append(YoungTriple(pair=pair, lam=lam, split=1))
+            yield exp, zeta, lam, 0
+            yield exp, zeta, lam, 1
         elif (zeta, lam) < (tau_zeta, tau_lam):
-            out.append(YoungTriple(pair=pair, lam=lam))
+            yield exp, zeta, lam, None
         # The greater member of each swap orbit is skipped.
-    return out
+
+
+def triples(kind: str, n: int, e: int | None, ell: int) -> list[YoungTriple]:
+    """One representative per conjugacy class of triples (Y, zeta, lam)."""
+    e = _check_kind(kind, n, e, ell)
+    return [
+        YoungTriple(YoungPair(kind, n, e, ell, exp, zeta), lam, split)
+        for exp, zeta, lam, split in _classes(kind, n, e, ell)
+    ]
 
 
 def triple_to_tower(triple: YoungTriple) -> TowerTuple:
@@ -301,27 +306,38 @@ class BijectionReport(_Value):
         return out
 
 
+def _hook_defect(mus, ell: int, nus) -> int:
+    """Sum of ``nus[h]`` = nu_ell(h) over the hook lengths h of the partitions
+    ``mus``: on a beta-set the hooks are b - x for a bead b above a gap x."""
+    return sum(
+        nus[b - x]
+        for beads in (frozenset(beta_set(mu, len(mu))) for mu in mus)
+        for b in beads
+        for x in range(b % ell, b, ell)  # only h = b - x divisible by ell count
+        if x not in beads
+    )
+
+
 def _irr_defect_histogram(kind: str, n: int, e: int, ell: int) -> Counter:
-    """Defect multiset of Irr(G), from degrees and valuations alone."""
-    nu_group = factorial_valuation(n, ell)
+    """Defect multiset of Irr(G) from hook lengths alone: nu_ell(n!/deg) sums
+    nu_ell(h) over the hooks h (of every component for C_e wr S_n, where ell
+    does not divide e; ell is odd for G(2e,2,n), so halving keeps a defect)."""
+    nus = [0] + [valuation(h, ell) for h in range(1, n + 1)]
     hist: Counter[int] = Counter()
     if kind == "sym":
         for mu in partitions_of(n):
-            hist[nu_group - valuation(degree(mu), ell)] += 1
+            hist[_hook_defect((mu,), ell, nus)] += 1
     elif kind == "wreath":
         for mus in _multipartitions(n, e):
-            deg = wreath_char_degree(e, mus)
-            hist[nu_group - valuation(deg, ell)] += 1
+            hist[_hook_defect(mus, ell, nus)] += 1
     else:  # typed: Clifford theory for G(2e,2,n) inside C_2e wr S_n
         for mus in _multipartitions(n, 2 * e):
             swapped = mus[e:] + mus[:e]
             if swapped < mus:
                 continue  # one character per swap orbit, counted at the rep
-            deg = wreath_char_degree(2 * e, mus)
-            defect = nu_group - valuation(deg, ell)
             # A swap-fixed character restricts to two constituents (same
             # defect since ell is odd); a free orbit restricts to one.
-            hist[defect] += 2 if swapped == mus else 1
+            hist[_hook_defect(mus, ell, nus)] += 2 if swapped == mus else 1
     return hist
 
 
@@ -333,8 +349,7 @@ def verify_bijection(kind: str, n: int, e: int | None, ell: int) -> BijectionRep
             f"verify_bijection supports n <= {ORACLE_BOUNDS[kind]} "
             f"for kind {kind!r}, got {n}"
         )
-    trips = triples(kind, n, e, ell)
-    hist_triples = Counter(t.pair.nu() for t in trips)
+    hist_triples = Counter(nu(n, exp.coeffs, ell) for exp, *_ in _classes(kind, n, e, ell))
     hist_irr = _irr_defect_histogram(kind, n, e, ell)
     passed = hist_irr == hist_triples  # counts are the histogram totals
     return BijectionReport(
@@ -343,7 +358,7 @@ def verify_bijection(kind: str, n: int, e: int | None, ell: int) -> BijectionRep
         e=e,
         ell=ell,
         count_irr=sum(hist_irr.values()),
-        count_triples=len(trips),
+        count_triples=sum(hist_triples.values()),
         defect_histogram_irr=tuple(sorted(hist_irr.items())),
         defect_histogram_triples=tuple(sorted(hist_triples.items())),
         passed=passed,

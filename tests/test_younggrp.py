@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,10 +20,12 @@ from weightcomb.partitions import (
     partition_count,
     partitions_of,
 )
+from weightcomb.symchars import wreath_char_degree
 from weightcomb.younggrp import (
     TowerTuple,
     YoungPair,
     YoungTriple,
+    _hook_defect,
     _multipartitions,
     triple_to_tower,
     triples,
@@ -275,6 +278,51 @@ def test_verify_typed(e, n, ell):
 def test_verify_typed_frozen_example():
     report = verify_bijection("typed", 2, 1, 3)
     assert (report.count_irr, report.count_triples, report.passed) == (4, 4, True)
+
+
+def _nus(n, ell):
+    return [0] + [valuation(h, ell) for h in range(1, n + 1)]
+
+
+def test_hook_defect_is_degree_defect():
+    """verify_bijection reads each defect off hook lengths; the big-integer
+    degrees are the oracle: nu_ell(n!) - nu_ell(deg) for S_n, and for
+    C_e wr S_N (ell not dividing e) nu_ell(N!) - nu_ell(deg) over every
+    e-multipartition of N."""
+    for ell in (2, 3, 5, 7):
+        for n in range(21):
+            nus = _nus(n, ell)
+            for mu in partitions_of(n):
+                expected = factorial_valuation(n, ell) - valuation(degree(mu), ell)
+                assert _hook_defect((mu,), ell, nus) == expected, (mu, ell)
+        for e in (1, 2, 3, 4):
+            if e % ell == 0:
+                continue
+            for big_n in range(8):
+                nus = _nus(big_n, ell)
+                for mus in _multipartitions(big_n, e):
+                    deg = wreath_char_degree(e, mus)
+                    expected = factorial_valuation(big_n, ell) - valuation(deg, ell)
+                    assert _hook_defect(mus, ell, nus) == expected, (mus, ell)
+
+
+STREAM_POINTS = (
+    [("sym", n, None, ell) for n in range(13) for ell in (2, 3, 5)]
+    + [("wreath", n, e, ell) for e, n, ell in ((1, 4, 3), (2, 4, 3), (3, 4, 2))]
+    + [("typed", n, e, ell) for e, n, ell in ((1, 4, 3), (2, 3, 5), (2, 4, 3))]
+)
+
+
+@pytest.mark.parametrize("kind,n,e,ell", STREAM_POINTS)
+def test_verify_stream_matches_triple_list(kind, n, e, ell):
+    """verify_bijection counts the class stream without building triples; its
+    count and histogram are those of the triples() list."""
+    report = verify_bijection(kind, n, e, ell)
+    trips = triples(kind, n, e, ell)
+    assert report.count_triples == len(trips)
+    assert report.defect_histogram_triples == tuple(
+        sorted(Counter(t.pair.nu() for t in trips).items())
+    )
 
 
 def test_verify_bound():
