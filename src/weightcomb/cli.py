@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterable, Sequence
 
 from . import __version__
 from .arith import ellprime_part
@@ -114,12 +114,12 @@ def _report(
     }
 
 
-def _emit(report: dict, stream: TextIO | None = None) -> None:
+def _emit(report: dict) -> None:
     """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline to
-    ``stream`` (default stdout).  Results that are not a list are an iterator
-    of JSON texts at the top-level indent (``_block_texts``): they are spliced
-    in as they come and written in chunks of about 64 KB."""
-    out = sys.stdout if stream is None else stream
+    stdout.  Results that are not a list are an iterator of JSON texts at the
+    top-level indent (``_block_texts``): they are spliced in as they come and
+    written in chunks of about 64 KB."""
+    out = sys.stdout
     results = report["results"]
     if isinstance(results, list):
         out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")

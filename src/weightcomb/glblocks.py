@@ -403,7 +403,7 @@ def block_irr(block: BlockLabel) -> list[SeriesCharLabel]:
 
 def is_defect_zero(block: BlockLabel) -> bool:
     """Defect zero: all weights vanish and d != 1 (ell does not divide q - eps)."""
-    return all(w == 0 for w in block.weights) and block.s.params.d != 1
+    return block.s.params.d != 1 and all(w == 0 for w in block.weights)
 
 
 def _positive_defect_case(s: SemisimpleLabel) -> int | None:
@@ -613,56 +613,41 @@ class CountingReport(_Value):
         return out
 
 
-def _shape_iter(degs: tuple[int, ...], counts: dict[int, int], n: int):
-    """Yield shapes: tuples ((deg, multiplicity-partition), ...) with
-    weighted total n and at most counts[deg] distinct divisors per degree."""
+def _shape_classes(n: int, params: EllParams):
+    """Yield ``(class_size, s)`` once per shape of a semisimple ell'-label
+    (its multiset of (degree, multiplicity) pairs).  s takes the first labels
+    of each degree, so its pairs come sorted: degrees ascend, and
+    :func:`_first_labels` keeps label order.  class_size counts the labels of
+    the shape from the Moebius count per degree.  At each degree, skipping it
+    comes first, then t = 1, 2, ... and each multiplicity partition of t."""
+    q, eps, ell = params.q, params.eps, params.ell
 
-    def rec(i: int, rem: int):
+    def rec(deg: int, rem: int, size: int, pairs: tuple):
         if rem == 0:
-            yield ()
+            d_gammas = _d_gammas(params, pairs)
+            yield size, SemisimpleLabel._trusted(q, eps, ell, n, pairs, params, d_gammas)
             return
-        if i == len(degs):
+        if deg > rem:
             return
-        d = degs[i]
-        for t in range(rem // d + 1):
-            if t == 0:
-                yield from rec(i + 1, rem)
-                continue
+        yield from rec(deg + 1, rem, size, pairs)
+        count = ellprime_label_count(q, eps, ell, deg)
+        for t in range(1, rem // deg + 1):
             for mults in partitions_of(t):
-                if len(mults) > counts[d]:
+                k = len(mults)
+                if k > count:
                     continue
-                for rest in rec(i + 1, rem - d * t):
-                    yield ((d, mults),) + rest
+                repeats = (math.factorial(mults.count(v)) for v in set(mults))
+                ways = math.perm(count, k) // math.prod(repeats)
+                reps = _first_labels(q, eps, ell, deg, k)
+                if len(reps) < k:
+                    raise AssertionError(
+                        f"not enough degree-{deg} labels for {mults}: "
+                        f"need {k}, found {len(reps)}"
+                    )
+                rest = rem - deg * t
+                yield from rec(deg + 1, rest, size * ways, pairs + tuple(zip(reps, mults)))
 
-    yield from rec(0, n)
-
-
-def _shape_class_size(shape, counts: dict[int, int]) -> int:
-    """Number of semisimple labels realizing the shape."""
-    total = 1
-    for deg, mults in shape:
-        k = len(mults)
-        ways = math.comb(counts[deg], k) * math.factorial(k)
-        for value in set(mults):
-            ways //= math.factorial(mults.count(value))
-        total *= ways
-    return total
-
-
-def _representative_semisimple(shape, params: EllParams, n: int) -> SemisimpleLabel:
-    pairs = []
-    for deg, mults in shape:
-        reps = _first_labels(params.q, params.eps, params.ell, deg, len(mults))
-        if len(reps) < len(mults):
-            raise AssertionError(
-                f"not enough degree-{deg} labels for {mults}: "
-                f"need {len(mults)}, found {len(reps)}"
-            )
-        pairs.extend(zip(reps, mults))
-    pairs.sort()
-    return SemisimpleLabel._trusted(
-        params.q, params.eps, params.ell, n, tuple(pairs), params, _d_gammas(params, pairs)
-    )
+    return rec(1, n, 1, ())
 
 
 def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
@@ -672,12 +657,11 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
     Blocks are grouped by the shape of their semisimple label (the multiset
     of (degree, multiplicity) pairs).  The core table and every weight count
     depend only on the shape of s, not on which labels realize it, so every
-    block of one representative s is checked and counts ``class_size`` times.
+    block of each representative s that :func:`_shape_classes` yields is
+    checked and counts ``class_size`` times.
     A mismatch entry names one representative block and its ``class_size``.
     """
     params = _check_grid(n, q, eps, ell)
-    counts = {d: ellprime_label_count(q, eps, ell, d) for d in range(1, n + 1)}
-    degs = tuple(d for d in range(1, n + 1) if counts[d] > 0)
     s_count = 0
     blocks_checked = 0
     nonempty = 0
@@ -685,10 +669,9 @@ def verify_counting(n: int, q: int, eps: int, ell: int) -> CountingReport:
     af_total = 0
     mismatches: list[dict] = []
 
-    for shape in _shape_iter(degs, counts, n):
-        class_size = _shape_class_size(shape, counts)
+    for class_size, s in _shape_classes(n, params):
         s_count += class_size
-        for block in _blocks_of(_representative_semisimple(shape, params, n)):
+        for block in _blocks_of(s):
             blocks_checked += class_size
             gen = generic_weights(block)
             af = af_weights(block)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: JSON reports and exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -192,9 +193,9 @@ class EmitCount:
     def __init__(self, emit):
         self.emit, self.calls = emit, 0
 
-    def __call__(self, report, stream=None):
+    def __call__(self, report):
         self.calls += 1
-        self.emit(report, stream)
+        self.emit(report)
 
 
 @pytest.mark.parametrize(
@@ -781,7 +782,8 @@ def test_campaign_same_report_under_optimize(tmp_path):
 
 def emitted(report):
     buf = io.StringIO()
-    _emit(report, buf)
+    with contextlib.redirect_stdout(buf):
+        _emit(report)
     return buf.getvalue()
 
 
@@ -878,7 +880,8 @@ class WriteLog:
 
 def test_writer_splices_an_empty_iterator():
     log = WriteLog()
-    _emit(as_report(iter(())), log)
+    with contextlib.redirect_stdout(log):
+        _emit(as_report(iter(())))
     assert "".join(log.writes) == dumped(as_report([]))
 
 
@@ -888,7 +891,8 @@ def test_writer_splices_big_texts_in_chunks():
     value = {"e": [], "z": ["z" * 10_000]}
     big = json.dumps(value, sort_keys=True, indent=2)
     log = WriteLog()
-    _emit(as_report(iter([big] * 60)), log)
+    with contextlib.redirect_stdout(log):
+        _emit(as_report(iter([big] * 60)))
     assert "".join(log.writes) == dumped(as_report([value] * 60))
     assert len(log.writes) > 1
     spliced = ",\n    " + big.replace("\n", "\n    ")

@@ -893,6 +893,26 @@ def test_verify_counting_checks_every_block_of_a_representative(monkeypatch):
     assert len({json.dumps(m["block"]) for m in r.mismatches}) == 7
 
 
+def test_verify_counting_mismatches_name_each_representative_in_order(monkeypatch):
+    """With af_weights emptied on defect-zero blocks, every mismatch entry of
+    the n <= 6 grid, pinned by one sha256: which representative each entry
+    names, and the order of the entries, follow the shape order."""
+    af_weights = glblocks.af_weights
+    monkeypatch.setattr(
+        glblocks, "af_weights", lambda b: () if is_defect_zero(b) else af_weights(b)
+    )
+    digest = hashlib.sha256()
+    entries = 0
+    for point in grid_points(6):
+        report = verify_counting(*point).to_json_dict()
+        entries += len(report["mismatches"])
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert entries == 2167
+    assert digest.hexdigest() == (
+        "952864e7864c2e0ceea2a8e21d717a91c31314a883deba62a9035b7de4ec41a1"
+    )
+
+
 def test_verify_counting_report_json():
     r = verify_counting(2, 4, 1, 3)
     data = r.to_json_dict()
